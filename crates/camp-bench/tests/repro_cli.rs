@@ -1,9 +1,20 @@
 //! End-to-end tests of the `repro` binary (cheap experiments only).
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
+}
+
+/// A fresh, empty directory owned by one test of one test process, so
+/// tests running in parallel (or concurrent runs of the suite) never
+/// share or delete each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("camp-repro-cli-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 #[test]
@@ -18,8 +29,7 @@ fn table1_prints_the_paper_rows() {
 
 #[test]
 fn csv_export_writes_files() {
-    let dir = std::env::temp_dir().join("camp-repro-cli");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch_dir("csv_export_writes_files");
     let output = repro()
         .args(["table1", "--out", dir.to_str().unwrap()])
         .output()
@@ -32,8 +42,7 @@ fn csv_export_writes_files() {
 
 #[test]
 fn custom_experiment_runs_on_a_generated_trace() {
-    let dir = std::env::temp_dir().join("camp-repro-cli");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("custom_experiment_runs_on_a_generated_trace");
     let path = dir.join("mini.trace");
     // A small trace written through the library (the CLI route is covered
     // in camp-workload's tracegen tests).
@@ -51,7 +60,7 @@ fn custom_experiment_runs_on_a_generated_trace() {
     assert!(stdout.contains("camp(p=5)"), "{stdout}");
     // --plot rendered a chart with a legend.
     assert!(stdout.contains("* camp(p=5)"), "{stdout}");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -5,8 +5,7 @@
 //!           [--shards N] [--slab-kb N] [--metrics-addr ADDR]
 //!           [--log-level LEVEL] [--max-conns N] [--max-value-bytes N]
 //!           [--idle-secs N] [--drain-secs N] [--chaos SPEC]
-//!           [--workers N] [--legacy-threads] [--single-listener]
-//!           [--slow-log MICROS] [--data-dir PATH]
+//!           [--workers N] [--slow-log MICROS] [--data-dir PATH]
 //!           [--fsync always|interval|never] [--segment-bytes N]
 //! ```
 //!
@@ -15,9 +14,6 @@
 //! own `SO_REUSEPORT` listener and multiplexing its share of connections
 //! — tens of thousands of concurrent clients on a handful of threads,
 //! with connection intake load-balanced across cores by the kernel.
-//! `--single-listener` keeps the reactor but accepts on one blocking
-//! thread (the pre-multi-listener intake path); `--legacy-threads` falls
-//! back to the previous thread-per-connection engine for one release.
 //!
 //! `--policy` accepts any spec understood by
 //! [`EvictionMode`](camp_kvs::store::EvictionMode) — `lru`, `camp`,
@@ -72,7 +68,7 @@ use camp_telemetry::{kvlog, LogLevel};
 
 fn usage() -> String {
     format!(
-        "usage: camp-kvsd [--listen ADDR] [--memory-mb N] [--policy SPEC]\n                 [--shards N] [--slab-kb N] [--metrics-addr ADDR]\n                 [--log-level LEVEL] [--max-conns N] [--max-value-bytes N]\n                 [--idle-secs N] [--drain-secs N] [--chaos SPEC]\n                 [--workers N] [--legacy-threads] [--single-listener]\n                 [--slow-log MICROS] [--data-dir PATH]\n                 [--fsync always|interval|never] [--segment-bytes N]\n\ndefaults: --listen 127.0.0.1:11311 --memory-mb 64 --policy camp:5\n          --shards 1 --slab-kb 1024 --log-level info --max-conns 1024\n          --max-value-bytes 1048576 --idle-secs 60 --drain-secs 5\n          --workers 0 (auto: one per core, capped at 8)\n          --fsync interval --segment-bytes 67108864\n\n--metrics-addr serves a Prometheus text exposition over HTTP (off unless given;\n  GET /trace dumps the flight recorder)\n--max-conns caps simultaneous connections (0 = unlimited); excess accepts get\n  an explicit SERVER_ERROR and are closed\n--idle-secs evicts connections idle past N seconds (0 disables)\n--drain-secs bounds the graceful drain after SIGTERM/SIGINT\n--chaos injects deterministic faults, e.g. drop=0.02,delay=1ms@0.5,err=0.01,seed=7\n  (iowrite=P, fsync=P, enospc=P add disk faults when --data-dir is set)\n--workers sets the epoll reactor's event-loop thread count (0 = auto)\n--legacy-threads serves each connection on its own thread (pre-reactor engine)\n--single-listener accepts on one blocking thread instead of per-worker\n  SO_REUSEPORT listeners (the pre-multi-listener reactor intake path)\n--slow-log retains requests at least MICROS us end-to-end in the slow ring\n  (0 retains everything; omit to disable the slow log)\n--data-dir appends every acknowledged mutation to a checksummed log under PATH\n  and replays it on restart (omit for a pure in-memory cache)\n--fsync picks the durability level for --data-dir (always|interval|never)\n--segment-bytes rotates the append log at N bytes (min 4096)\n--log-level is one of {}\n\n{}\n(legacy flags --eviction camp|lru and --precision N|inf are still accepted)\n",
+        "usage: camp-kvsd [--listen ADDR] [--memory-mb N] [--policy SPEC]\n                 [--shards N] [--slab-kb N] [--metrics-addr ADDR]\n                 [--log-level LEVEL] [--max-conns N] [--max-value-bytes N]\n                 [--idle-secs N] [--drain-secs N] [--chaos SPEC]\n                 [--workers N] [--slow-log MICROS] [--data-dir PATH]\n                 [--fsync always|interval|never] [--segment-bytes N]\n\ndefaults: --listen 127.0.0.1:11311 --memory-mb 64 --policy camp:5\n          --shards 1 --slab-kb 1024 --log-level info --max-conns 1024\n          --max-value-bytes 1048576 --idle-secs 60 --drain-secs 5\n          --workers 0 (auto: one per core, capped at 8)\n          --fsync interval --segment-bytes 67108864\n\n--metrics-addr serves a Prometheus text exposition over HTTP (off unless given;\n  GET /trace dumps the flight recorder)\n--max-conns caps simultaneous connections (0 = unlimited); excess accepts get\n  an explicit SERVER_ERROR and are closed\n--idle-secs evicts connections idle past N seconds (0 disables)\n--drain-secs bounds the graceful drain after SIGTERM/SIGINT\n--chaos injects deterministic faults, e.g. drop=0.02,delay=1ms@0.5,err=0.01,seed=7\n  (iowrite=P, fsync=P, enospc=P add disk faults when --data-dir is set)\n--workers sets the epoll reactor's event-loop thread count (0 = auto); each\n  worker accepts on its own SO_REUSEPORT listener\n--slow-log retains requests at least MICROS us end-to-end in the slow ring\n  (0 retains everything; omit to disable the slow log)\n--data-dir appends every acknowledged mutation to a checksummed log under PATH\n  and replays it on restart (omit for a pure in-memory cache)\n--fsync picks the durability level for --data-dir (always|interval|never)\n--segment-bytes rotates the append log at N bytes (min 4096)\n--log-level is one of {}\n\n{}\n",
         LogLevel::HELP,
         EvictionMode::HELP
     )
@@ -81,9 +77,7 @@ fn usage() -> String {
 fn main() -> ExitCode {
     let mut listen = "127.0.0.1:11311".to_owned();
     let mut memory_mb: u64 = 64;
-    let mut policy: Option<EvictionMode> = None;
-    let mut legacy_eviction: Option<String> = None;
-    let mut legacy_precision = Precision::PAPER_DEFAULT;
+    let mut eviction = EvictionMode::Camp(Precision::PAPER_DEFAULT);
     let mut shards: usize = 1;
     let mut slab_kb: u32 = 1024;
     let mut metrics_addr: Option<String> = None;
@@ -93,8 +87,6 @@ fn main() -> ExitCode {
     let mut drain_secs: u64 = 5;
     let mut chaos: Option<FaultPlan> = None;
     let mut workers: usize = 0;
-    let mut legacy_threads = false;
-    let mut single_listener = false;
     let mut slow_log_us: Option<u64> = None;
     let mut data_dir: Option<String> = None;
     let mut fsync = FsyncMode::default();
@@ -115,20 +107,9 @@ fn main() -> ExitCode {
                         .map_err(|_| "bad --memory-mb".to_owned())?;
                 }
                 "--policy" => {
-                    policy = Some(
-                        value("--policy")?
-                            .parse()
-                            .map_err(|e| format!("bad --policy: {e}"))?,
-                    );
-                }
-                "--eviction" => legacy_eviction = Some(value("--eviction")?),
-                "--precision" => {
-                    let text = value("--precision")?;
-                    legacy_precision = if text == "inf" {
-                        Precision::Infinite
-                    } else {
-                        Precision::Bits(text.parse().map_err(|_| "bad --precision".to_owned())?)
-                    };
+                    eviction = value("--policy")?
+                        .parse()
+                        .map_err(|e| format!("bad --policy: {e}"))?;
                 }
                 "--shards" => {
                     shards = value("--shards")?
@@ -173,8 +154,6 @@ fn main() -> ExitCode {
                         .parse()
                         .map_err(|_| "bad --workers".to_owned())?;
                 }
-                "--legacy-threads" => legacy_threads = true,
-                "--single-listener" => single_listener = true,
                 "--slow-log" => {
                     slow_log_us = Some(
                         value("--slow-log")?
@@ -218,16 +197,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let eviction = match (policy, legacy_eviction.as_deref()) {
-        (Some(mode), _) => mode,
-        (None, Some("camp")) => EvictionMode::Camp(legacy_precision),
-        (None, Some("lru")) => EvictionMode::Lru,
-        (None, Some(other)) => {
-            eprintln!("unknown eviction policy `{other}` (use --policy; see --help)");
-            return ExitCode::FAILURE;
-        }
-        (None, None) => EvictionMode::Camp(legacy_precision),
-    };
     let slab_size = slab_kb.saturating_mul(1024).max(4096);
     let max_slabs =
         u32::try_from((memory_mb * 1024 * 1024) / u64::from(slab_size)).unwrap_or(u32::MAX);
@@ -265,8 +234,6 @@ fn main() -> ExitCode {
         idle_timeout: Duration::from_secs(idle_secs),
         fault_plan: chaos,
         workers,
-        legacy_threads,
-        single_listener,
         slow_log_us,
         persist,
     };
@@ -289,13 +256,6 @@ fn main() -> ExitCode {
         max_value_bytes = max_value_bytes,
         idle_secs = idle_secs,
         drain_secs = drain_secs,
-        engine = if legacy_threads {
-            "legacy-threads"
-        } else if single_listener {
-            "reactor-single-listener"
-        } else {
-            "reactor"
-        },
         persist = persist_banner,
     );
     if let Some(addr) = server.metrics_addr() {

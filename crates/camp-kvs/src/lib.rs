@@ -19,8 +19,8 @@
 //!   recipe);
 //! * [`net`] — the event-driven core: a dependency-free epoll wrapper,
 //!   timer wheel, per-connection state machine and N-worker reactor;
-//! * [`server`] / [`client`] — the TCP server (epoll reactor by default,
-//!   thread-per-connection behind `legacy_threads`; graceful drain,
+//! * [`server`] / [`client`] — the TCP server (N epoll reactor workers,
+//!   each accepting on its own `SO_REUSEPORT` listener; graceful drain,
 //!   overload protection, idle eviction) and a blocking client with
 //!   reconnect/retry resilience;
 //! * [`persist`] — crash-safe durability: a checksummed append-only log

@@ -298,8 +298,7 @@ impl ServerMetrics {
     }
 }
 
-/// Live per-worker reactor counters (one row per event-loop worker; the
-/// legacy thread-per-connection backend keeps a single all-zero row).
+/// Live per-worker reactor counters (one row per event-loop worker).
 /// Incremented with relaxed atomics from inside each worker's loop, read
 /// by `stats detail` and the Prometheus exposition.
 #[derive(Debug, Default)]
@@ -313,9 +312,8 @@ pub struct WorkerStats {
     /// Times backpressure paused reads (pending output over the
     /// high-water mark caused `EPOLLIN` to be withheld).
     pub write_pauses: AtomicU64,
-    /// Sockets accepted by this worker's own `SO_REUSEPORT` listener
-    /// (zero on the single-listener path, where an accept thread feeds
-    /// the intake queue instead).
+    /// Sockets accepted by this worker's own `SO_REUSEPORT` listener,
+    /// including those rejected at the `--max-conns` cap.
     pub accepts: AtomicU64,
     /// Connection events drained from `epoll_wait` into the batched run
     /// queue.
@@ -347,8 +345,8 @@ pub struct ReactorStats {
 }
 
 impl ReactorStats {
-    /// A registry with `workers` zeroed rows (at least one, so the legacy
-    /// backend still has a stable schema).
+    /// A registry with `workers` zeroed rows (at least one, so the
+    /// schema is stable).
     #[must_use]
     pub fn new(workers: usize) -> ReactorStats {
         ReactorStats {

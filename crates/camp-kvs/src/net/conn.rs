@@ -1,32 +1,27 @@
 //! The per-connection protocol state machine: nonblocking buffers in,
 //! nonblocking buffers out, no socket in sight.
 //!
-//! [`Connection`] is the reactor's replacement for the legacy
-//! thread-per-connection `handle_connection` loop, restructured as a
-//! run-to-completion state machine over a read buffer and an output
-//! *rope*: the reactor appends whatever the socket had into the read
+//! [`Connection`] is a run-to-completion state machine over a read
+//! buffer and an output *rope*: the reactor appends whatever the socket had into the read
 //! buffer ([`Connection::fill_from`]), [`Connection::process`] consumes
 //! complete commands from it and appends replies to the rope's active
 //! tail segment (sealing the tail into the flush queue whenever it
 //! reaches [`SEG_SEAL`]), and the reactor flushes the whole rope back to
 //! the socket with one scatter-gather `write_vectored` — `writev(2)` on a
 //! `TcpStream` — per round ([`Connection::flush_to`]), so a pipelined
-//! burst of N commands still produces one syscall-level write, preserving
-//! PR 3's flush-coalescing behaviour by construction. Unlike the old
-//! single contiguous `out` Vec, a partially flushed rope never memmoves
-//! or reallocates what remains: the cursor advances across fixed
-//! segments, and fully drained segments recycle through the worker's
-//! [`SegmentPool`].
+//! burst of N commands still produces one syscall-level write. A
+//! partially flushed rope never memmoves or reallocates what remains: the
+//! cursor advances across fixed segments, and fully drained segments
+//! recycle through the worker's [`SegmentPool`].
 //!
 //! Because input arrives in arbitrary fragments, the machine never
 //! consumes a command until every byte it needs is present: a `set`
 //! header line is left unconsumed (and re-parsed on the next readiness
 //! event — rare, so the re-parse is cheap) until the full data block and
-//! its CRLF terminator have arrived. That is what keeps PR 4's chaos
-//! invariant intact under `EAGAIN`/short reads: the fault decision for a
-//! storage command fires *after* the complete data block, exactly as the
-//! legacy blocking path ordered it, so an injected error or delay can
-//! never desynchronize the stream.
+//! its CRLF terminator have arrived. That keeps the chaos invariant
+//! intact under `EAGAIN`/short reads: the fault decision for a storage
+//! command fires *after* the complete data block, so an injected error or
+//! delay can never desynchronize the stream.
 //!
 //! Lifecycle semantics are expressed as data, not threads: a chaos delay
 //! parks the connection behind [`Step::Delayed`] (the reactor schedules a
@@ -204,9 +199,6 @@ pub(crate) struct Connection {
     pos: usize,
     /// Output rope: sealed segments awaiting flush plus the active tail.
     out: OutRope,
-    /// Reusable get-serialization scratch (same role as legacy
-    /// `response`): VALUE blocks accumulate here before one bulk append.
-    response: Vec<u8>,
     faults: Option<FaultState>,
     /// A Delay was already decided for the currently-pending command;
     /// on resume, execute without re-rolling the fault RNG.
@@ -233,14 +225,13 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
-    /// `id` seeds the connection's deterministic fault stream, exactly as
-    /// the legacy per-thread path did.
+    /// `id` seeds the connection's deterministic fault stream, so a chaos
+    /// run replays identically per connection.
     pub(crate) fn new(id: u64, shared: &Shared) -> Connection {
         Connection {
             buf: Vec::new(),
             pos: 0,
             out: OutRope::default(),
-            response: Vec::new(),
             faults: shared
                 .fault_plan
                 .as_ref()
@@ -305,9 +296,9 @@ impl Connection {
 
     /// Whether a drain may close this connection now: nothing buffered in
     /// either direction and no command in flight. A connection holding a
-    /// partial command line is *not* closable — same as the legacy path,
-    /// where only reads blocked with an empty line buffer noticed the
-    /// drain flag — and gets severed at the deadline instead.
+    /// partial command line is *not* closable, so a half-received command
+    /// is never silently dropped: it may still complete before the drain
+    /// deadline, and is severed (and counted as such) if it does not.
     pub(crate) fn drain_closable(&self) -> bool {
         self.pos >= self.buf.len() && !self.has_pending_out() && self.delayed_until.is_none()
     }
@@ -422,7 +413,7 @@ impl Connection {
     }
 
     /// Evicts the connection for exceeding the idle deadline: explicit
-    /// error reply, then close once it flushes (legacy `evict_idle`).
+    /// error reply, then close once it flushes.
     pub(crate) fn evict_idle(&mut self, shared: &Shared) {
         shared.metrics.record_rejected(RejectCause::IdleTimeout);
         kvlog!(
@@ -459,8 +450,8 @@ impl Connection {
                 self.out.seal(pool);
             }
             // An in-force chaos delay pauses the whole connection —
-            // pipelined commands behind the delayed one wait, exactly as
-            // the legacy thread slept.
+            // pipelined commands behind the delayed one wait too, so
+            // replies keep their request order.
             if let Some(until) = self.delayed_until {
                 if now < until {
                     return Step::Delayed(until);
@@ -479,8 +470,8 @@ impl Connection {
             let (line_end, line_wire) = match newline {
                 Some(n) => (self.pos + n, n + 1),
                 // No newline yet: with the peer gone, hand the partial
-                // line to the parser (what an un-timed blocking read did
-                // at EOF); otherwise wait for the rest.
+                // line to the parser (a final command without its line
+                // terminator still runs); otherwise wait for the rest.
                 None if self.peer_eof => (self.buf.len(), self.buf.len() - self.pos),
                 None => {
                     self.compact();
@@ -507,16 +498,15 @@ impl Connection {
                     // until the full data block (+CRLF) is buffered: on a
                     // short read we leave everything in place and re-parse
                     // when more bytes arrive. The fault decision therefore
-                    // always happens after the complete block — PR 4's
-                    // invariant, now robust to arbitrary fragmentation.
+                    // always happens after the complete block, however the
+                    // input was fragmented.
                     let (block, consumed, wire_bytes): (&[u8], usize, u64) = match &command {
                         Command::Set { header } => {
                             let needed = line_wire + header.bytes + 2;
                             if self.buf.len() - self.pos < needed {
                                 if self.peer_eof {
                                     // Mid-block EOF: nothing is stored and
-                                    // nothing more can be parsed (legacy
-                                    // UnexpectedEof).
+                                    // nothing more can be parsed.
                                     return Step::Close;
                                 }
                                 self.compact();
@@ -526,8 +516,8 @@ impl Connection {
                             let terminator = &self.buf[start + header.bytes..self.pos + needed];
                             if terminator != b"\r\n" {
                                 // The stream is desynchronized; reading on
-                                // would misparse data as commands (legacy
-                                // InvalidData: close the connection).
+                                // would misparse data as commands, so
+                                // close the connection.
                                 kvlog!(
                                     LogLevel::Debug,
                                     "connection_error",
@@ -547,8 +537,8 @@ impl Connection {
                     // Chaos: decided once per command, after its data
                     // block; a Delay stashes the fact that the decision
                     // already happened so the resume does not re-roll the
-                    // per-connection RNG (determinism parity with the
-                    // sleeping legacy thread).
+                    // per-connection RNG (one draw per command keeps the
+                    // fault stream deterministic).
                     if !self.fault_decided {
                         if let (Some(plan), Some(state)) =
                             (shared.fault_plan.as_ref(), self.faults.as_mut())
@@ -573,8 +563,8 @@ impl Connection {
                                 }
                                 FaultAction::Drop => {
                                     // Vanish pre-response; replies already
-                                    // buffered still flush, like the legacy
-                                    // BufWriter did on drop.
+                                    // buffered still flush in the
+                                    // reactor's farewell flush.
                                     shared.metrics.record_fault(FaultKind::Drop);
                                     return Step::Close;
                                 }
@@ -583,17 +573,7 @@ impl Connection {
                     }
                     self.fault_decided = false;
                     let started = Instant::now();
-                    // Infallible: the sink is a Vec. `unwrap_or` (not
-                    // unwrap) keeps the request path panic-free per the
-                    // workspace rule; the false arm is unreachable.
-                    let keep = execute(
-                        &command,
-                        block,
-                        &mut self.out.tail,
-                        &mut self.response,
-                        shared,
-                    )
-                    .unwrap_or(false);
+                    let keep = execute(&command, block, &mut self.out.tail, shared);
                     let executed_at = Instant::now();
                     let micros =
                         u64::try_from((executed_at - started).as_micros()).unwrap_or(u64::MAX);
@@ -632,8 +612,8 @@ impl Connection {
                     self.pos += line_wire;
                     if err.is_fatal() {
                         // The refused data block is still on the wire;
-                        // reading on would desync (legacy: close). Today
-                        // the only fatal parse error is an oversize value.
+                        // reading on would desync, so close. Today the
+                        // only fatal parse error is an oversize value.
                         shared.metrics.record_rejected(RejectCause::ValueTooLarge);
                         return Step::Close;
                     }
@@ -676,7 +656,7 @@ mod tests {
             eviction: EvictionMode::Camp(Precision::Bits(5)),
         });
         options.fault_plan = fault_plan;
-        Shared::new(&options).expect("test shared state without persistence")
+        Shared::new(&options, 1).expect("test shared state without persistence")
     }
 
     /// Runs `process` with a throwaway pool and a fresh batch timestamp.

@@ -15,14 +15,12 @@
 //!   buffers in, a segmented output rope flushed with scatter-gather
 //!   `writev`, no sockets, fully unit-testable.
 //! - `reactor` (crate-private) — N worker event loops, each owning its
-//!   own listener by default (connections pinned to the accepting
-//!   worker), batched event processing with one clock read per wakeup,
-//!   drain/sever orchestration.
+//!   own listener (connections pinned to the accepting worker), batched
+//!   event processing with one clock read per wakeup, drain/sever
+//!   orchestration.
 //!
-//! The public server API is unchanged: `server::Server` drives this
-//! machinery by default and falls back to a single accept thread behind
-//! `ServerOptions::single_listener` or to the legacy thread-per-
-//! connection loop behind `ServerOptions::legacy_threads`.
+//! `server::Server` is the only driver of this machinery: every
+//! connection is served by a reactor worker.
 
 pub mod epoll;
 pub mod timer;

@@ -3,23 +3,21 @@
 //!
 //! # Worker model
 //!
-//! [`Reactor::start_with_listeners`] spawns N worker threads, each
+//! [`Reactor::start`] spawns one worker thread per listener, each
 //! owning its *own* `SO_REUSEPORT` listener registered in its own epoll
 //! set: the kernel load-balances incoming connections across the
 //! listeners, so intake never crosses a thread boundary — no accept
-//! thread, no mutex-guarded handoff queue, no wake-up write on the
-//! accept hot path. A connection is *pinned* to the worker whose
-//! listener accepted it for life, so per-connection state is never
-//! shared and needs no locks. The `--max-conns` slot reservation stays a
-//! CAS on the shared counter, so the cap is exact even when several
-//! workers accept a burst concurrently.
+//! thread, no handoff queue, no wake-up write on the accept hot path. A
+//! connection is *pinned* to the worker whose listener accepted it for
+//! life, so per-connection state is never shared and needs no locks. The
+//! `--max-conns` slot reservation is a CAS on the shared counter, so the
+//! cap is exact even when several workers accept a burst concurrently.
 //!
-//! [`Reactor::start`] (no listeners) keeps the previous model for the
-//! `--single-listener` fallback: a blocking accept thread hands sockets
-//! to workers round-robin through a mutex-guarded intake queue plus a
-//! `UnixStream` wake-up pair whose read half sits in the worker's epoll
-//! set. On both paths the wake-up channel delivers drain and sever
-//! signals, which makes SIGINT/SIGTERM a reactor-visible event.
+//! Each worker also owns the read half of a `UnixStream` wake-up pair,
+//! registered in its epoll set. The server writes the other half to
+//! deliver drain and sever signals, which makes SIGINT/SIGTERM a
+//! reactor-visible event instead of one noticed only after a full
+//! [`MAX_PARK`].
 //!
 //! # Batched events, tokens and timers
 //!
@@ -32,11 +30,10 @@
 //! so a stale event for a recycled slot is recognized and dropped —
 //! queued entries re-validate the generation at run time, which also
 //! covers slots closed earlier in the same batch. Each worker owns a
-//! [`TimerWheel`] driving three deadline kinds: slowloris idle eviction
-//! (replacing the legacy read-timeout ticks), chaos delay resumes
-//! (replacing the legacy thread sleep), and the 50 ms drain sweep
-//! (replacing the ConnRegistry nudge). The epoll wait timeout is derived
-//! from the wheel, so a worker with nothing due blocks fully.
+//! [`TimerWheel`] driving three deadline kinds: slowloris idle eviction,
+//! chaos delay resumes, and the 50 ms drain sweep. The epoll wait
+//! timeout is derived from the wheel, so a worker with nothing due
+//! blocks fully.
 //!
 //! # Drain and sever
 //!
@@ -45,17 +42,19 @@
 //! with empty buffers immediately and keeps sweeping on the drain tick;
 //! connections mid-command finish and close at the next boundary. A
 //! connection holding a partial command line is deliberately not
-//! drain-closable (legacy parity: those were severed at the deadline,
-//! and the stuck-connection chaos test counts on it). When the server's
-//! drain deadline expires it sets the sever flag: workers close
-//! everything left, counting each into [`Reactor::severed`], and exit.
+//! drain-closable, so a half-received command is never silently dropped:
+//! it gets until the deadline to complete, and is severed (and counted)
+//! if it does not — the stuck-connection chaos test pins this. When the
+//! server's drain deadline expires it sets the sever flag: workers close
+//! everything left, counting each into the severed total returned by
+//! [`Reactor::sever_and_join`], and exit.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use camp_telemetry::{kvlog, LogLevel};
@@ -66,7 +65,6 @@ use crate::net::epoll::{
 };
 use crate::net::timer::TimerWheel;
 use crate::server::Shared;
-use crate::sync::lock;
 
 /// Epoll token reserved for the worker's wake-up stream.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -79,118 +77,61 @@ const EVENT_BATCH: usize = 256;
 const ACCEPT_ROUND_MAX: usize = 256;
 /// Upper bound on a worker's sleep even with no timers due.
 const MAX_PARK: Duration = Duration::from_secs(1);
-/// Drain sweep cadence (mirrors the legacy registry nudge tick).
+/// Drain sweep cadence: how soon a connection that becomes closable
+/// mid-drain (its in-flight command finished) is closed.
 const DRAIN_TICK: Duration = Duration::from_millis(50);
 /// Unflushed-output level past which a connection stops being read,
 /// so a slow-reading client cannot balloon its write buffer.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// A socket handed from the accept thread to a worker.
-#[derive(Debug)]
-pub(crate) struct Handoff {
-    /// Connection id (0 for rejected sockets, which never execute).
-    pub(crate) id: u64,
-    pub(crate) stream: TcpStream,
-    /// Accepted past the cap: the worker replies with the overload error
-    /// and closes without counting the connection.
-    pub(crate) rejected: bool,
-}
-
-/// One worker's handoff channel.
-#[derive(Debug)]
-struct Intake {
-    queue: Mutex<VecDeque<Handoff>>,
-    /// Write half of the worker's wake-up pair (nonblocking: a full pipe
-    /// means a wake-up is already pending, which is all we need).
-    wake: std::os::unix::net::UnixStream,
-}
-
-impl Intake {
-    fn push(&self, handoff: Handoff) {
-        lock(&self.queue).push_back(handoff);
-    }
-
-    fn drain(&self) -> Vec<Handoff> {
-        lock(&self.queue).drain(..).collect()
-    }
-
-    fn wake(&self) {
-        let _ = (&self.wake).write(&[1]);
-    }
-}
-
-/// State shared between the accept thread, the server handle and the
-/// workers.
+/// State shared between the server handle and the workers.
 #[derive(Debug)]
 struct ReactorShared {
-    intakes: Vec<Intake>,
     /// Set at the drain deadline: workers close whatever remains.
     sever: AtomicBool,
     /// Connections forcibly closed by the sever.
     severed: AtomicU64,
 }
 
-/// The running reactor: worker threads plus their shared channels. The
-/// join handles sit behind a mutex so the accept thread and the server
-/// handle can share the reactor through an `Arc`.
+/// The running reactor: worker threads plus their wake-up doorbells.
 #[derive(Debug)]
 pub(crate) struct Reactor {
     shared: Arc<ReactorShared>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next_worker: AtomicUsize,
+    /// Write halves of the workers' wake-up pairs (nonblocking: a full
+    /// buffer means a wake-up is already pending, which is all we need).
+    wakers: Vec<UnixStream>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Spawns `workers` event-loop threads over `shared`, fed by an
-    /// external accept thread through [`Reactor::submit`] (the
-    /// `--single-listener` path).
-    pub(crate) fn start(shared: &Arc<Shared>, workers: usize) -> io::Result<Reactor> {
-        Reactor::start_inner(shared, workers.max(1), Vec::new())
-    }
-
     /// Spawns one event-loop thread per listener, each worker accepting
-    /// from its own `SO_REUSEPORT` listener inside its own epoll set (the
-    /// default multi-listener path — no accept thread exists).
-    pub(crate) fn start_with_listeners(
+    /// from its own `SO_REUSEPORT` listener inside its own epoll set.
+    pub(crate) fn start(
         shared: &Arc<Shared>,
         listeners: Vec<ReusePortListener>,
     ) -> io::Result<Reactor> {
-        let workers = listeners.len().max(1);
-        Reactor::start_inner(shared, workers, listeners)
-    }
-
-    fn start_inner(
-        shared: &Arc<Shared>,
-        workers: usize,
-        listeners: Vec<ReusePortListener>,
-    ) -> io::Result<Reactor> {
-        let per_listener = !listeners.is_empty();
-        let mut intakes = Vec::with_capacity(workers);
+        let workers = listeners.len();
+        let mut wakers = Vec::with_capacity(workers);
         let mut wake_readers = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+            let (tx, rx) = UnixStream::pair()?;
             tx.set_nonblocking(true)?;
             rx.set_nonblocking(true)?;
-            intakes.push(Intake {
-                queue: Mutex::new(VecDeque::new()),
-                wake: tx,
-            });
+            wakers.push(tx);
             wake_readers.push(rx);
         }
         let rshared = Arc::new(ReactorShared {
-            intakes,
             sever: AtomicBool::new(false),
             severed: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(workers);
-        let mut listeners = listeners.into_iter();
-        for (index, wake_rx) in wake_readers.into_iter().enumerate() {
+        for (index, (wake_rx, listener)) in wake_readers.into_iter().zip(listeners).enumerate() {
             let mut worker = Worker::new(
                 index,
                 Arc::clone(shared),
                 Arc::clone(&rshared),
                 wake_rx,
-                listeners.next(),
+                listener,
             )?;
             handles.push(
                 std::thread::Builder::new()
@@ -198,45 +139,29 @@ impl Reactor {
                     .spawn(move || worker.run())?,
             );
         }
-        kvlog!(
-            LogLevel::Info,
-            "reactor_started",
-            workers = workers,
-            per_worker_listeners = per_listener,
-        );
+        kvlog!(LogLevel::Info, "reactor_started", workers = workers);
         Ok(Reactor {
             shared: rshared,
-            workers: Mutex::new(handles),
-            next_worker: AtomicUsize::new(0),
+            wakers,
+            workers: handles,
         })
-    }
-
-    /// Hands a socket to the next worker in accept order.
-    pub(crate) fn submit(&self, handoff: Handoff) {
-        // ordering: Relaxed — round-robin cursor; the handoff itself
-        // travels through the intake queue's lock.
-        let index = self.next_worker.fetch_add(1, Ordering::Relaxed) % self.shared.intakes.len();
-        let intake = &self.shared.intakes[index];
-        intake.push(handoff);
-        intake.wake();
     }
 
     /// Wakes every worker (drain began, or state to re-check).
     pub(crate) fn wake_all(&self) {
-        for intake in &self.shared.intakes {
-            intake.wake();
+        for mut waker in &self.wakers {
+            let _ = waker.write(&[1]);
         }
     }
 
     /// Orders workers to sever whatever is left, joins them, and returns
     /// how many connections were forcibly closed.
-    pub(crate) fn sever_and_join(&self) -> u64 {
+    pub(crate) fn sever_and_join(&mut self) -> u64 {
         // ordering: SeqCst — shutdown control plane: rare, and the
         // simplest reasoning wins over saving a fence at shutdown time.
         self.shared.sever.store(true, Ordering::SeqCst);
         self.wake_all();
-        let handles: Vec<_> = lock(&self.workers).drain(..).collect();
-        for handle in handles {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
         // ordering: SeqCst — reads after join(), which already ordered
@@ -246,7 +171,7 @@ impl Reactor {
 
     /// Whether the workers are still running (used by the server's Drop).
     pub(crate) fn running(&self) -> bool {
-        !lock(&self.workers).is_empty()
+        !self.workers.is_empty()
     }
 }
 
@@ -279,8 +204,8 @@ struct Worker {
     shared: Arc<Shared>,
     rshared: Arc<ReactorShared>,
     epoll: Epoll,
-    wake_rx: std::os::unix::net::UnixStream,
-    /// This worker's own accept socket (multi-listener path only).
+    wake_rx: UnixStream,
+    /// This worker's own accept socket; `None` once closed for a drain.
     listener: Option<ReusePortListener>,
     slots: Vec<Option<SlotEntry>>,
     gens: Vec<u32>,
@@ -301,21 +226,19 @@ impl Worker {
         index: usize,
         shared: Arc<Shared>,
         rshared: Arc<ReactorShared>,
-        wake_rx: std::os::unix::net::UnixStream,
-        listener: Option<ReusePortListener>,
+        wake_rx: UnixStream,
+        listener: ReusePortListener,
     ) -> io::Result<Worker> {
         let epoll = Epoll::new()?;
         epoll.add(wake_rx.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
-        if let Some(listener) = &listener {
-            epoll.add(listener.as_raw_fd(), EPOLLIN, LISTEN_TOKEN)?;
-        }
+        epoll.add(listener.as_raw_fd(), EPOLLIN, LISTEN_TOKEN)?;
         Ok(Worker {
             index,
             shared,
             rshared,
             epoll,
             wake_rx,
-            listener,
+            listener: Some(listener),
             slots: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
@@ -364,7 +287,6 @@ impl Worker {
             if accept_ready {
                 self.accept_ready(now);
             }
-            self.take_intake(now);
             self.fire_timers(Instant::now());
             // ordering: SeqCst — shutdown/sever control plane: rare, and the
             // simplest reasoning wins over saving a fence at drain time.
@@ -447,9 +369,8 @@ impl Worker {
     }
 
     /// The worker's own listener is readable: accept until it would
-    /// block (or the round cap), reserving `--max-conns` slots with the
-    /// same CAS the accept thread used so bursts across several workers
-    /// still reject exactly.
+    /// block (or the round cap), reserving `--max-conns` slots with one
+    /// shared CAS so bursts across several workers still reject exactly.
     fn accept_ready(&mut self, now: Instant) {
         for _ in 0..ACCEPT_ROUND_MAX {
             // ordering: SeqCst(x3) — shutdown/drain/sever control plane;
@@ -478,22 +399,7 @@ impl Worker {
                 .accepts
                 // ordering: Relaxed — statistics counter.
                 .fetch_add(1, Ordering::Relaxed);
-            let rejected = !self.shared.conns.try_reserve();
-            let id = if rejected {
-                0
-            } else {
-                // ordering: Relaxed — unique-id counter; uniqueness needs
-                // only atomicity.
-                self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed)
-            };
-            self.register(
-                Handoff {
-                    id,
-                    stream,
-                    rejected,
-                },
-                now,
-            );
+            self.register(stream, now);
         }
     }
 
@@ -510,44 +416,24 @@ impl Worker {
         }
     }
 
-    /// Registers newly accepted sockets handed over by the accept thread
-    /// (the `--single-listener` path; a no-op queue otherwise).
-    fn take_intake(&mut self, now: Instant) {
-        let handoffs = self.rshared.intakes[self.index].drain();
-        for handoff in handoffs {
-            // ordering: SeqCst(x2) — sever control plane; see the
-            // event-loop checks.
-            if self.rshared.sever.load(Ordering::SeqCst) {
-                // Too late to serve: account it like a severed connection.
-                if !handoff.rejected {
-                    self.shared.conns.release();
-                    self.rshared.severed.fetch_add(1, Ordering::SeqCst);
-                }
-                continue;
-            }
-            self.register(handoff, now);
-        }
-    }
-
-    /// Installs an accepted socket into a slot: nonblocking + nodelay,
-    /// epoll registration, idle timer, and one immediate cycle.
-    fn register(&mut self, handoff: Handoff, now: Instant) {
-        if handoff.stream.set_nonblocking(true).is_err() {
-            if !handoff.rejected {
-                self.shared.conns.release();
-            }
-            return;
-        }
-        handoff.stream.set_nodelay(true).ok();
-        let conn = if handoff.rejected {
-            Connection::rejected(&self.shared)
-        } else {
+    /// Installs an accepted (already nonblocking) socket into a slot:
+    /// `--max-conns` reservation, nodelay, epoll registration, idle timer,
+    /// and one immediate cycle. A socket past the cap becomes an uncounted
+    /// connection that flushes the overload error and closes.
+    fn register(&mut self, stream: TcpStream, now: Instant) {
+        stream.set_nodelay(true).ok();
+        let conn = if self.shared.conns.try_reserve() {
             self.shared
                 .metrics
                 .connections_opened
                 // ordering: Relaxed — statistics counter.
                 .fetch_add(1, Ordering::Relaxed);
-            Connection::new(handoff.id, &self.shared)
+            // ordering: Relaxed — unique-id counter; uniqueness needs
+            // only atomicity.
+            let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+            Connection::new(id, &self.shared)
+        } else {
+            Connection::rejected(&self.shared)
         };
         let counted = conn.counted;
         let slot = match self.free.pop() {
@@ -559,7 +445,7 @@ impl Worker {
             }
         };
         let token = (u64::from(self.gens[slot]) << 32) | slot as u64;
-        if let Err(err) = self.epoll.add(handoff.stream.as_raw_fd(), EPOLLIN, token) {
+        if let Err(err) = self.epoll.add(stream.as_raw_fd(), EPOLLIN, token) {
             kvlog!(LogLevel::Warn, "reactor_register_failed", error = err);
             self.free.push(slot);
             if counted {
@@ -574,7 +460,7 @@ impl Worker {
         }
         self.slots[slot] = Some(SlotEntry {
             conn,
-            stream: handoff.stream,
+            stream,
             interest: EPOLLIN,
         });
         self.live += 1;
@@ -710,10 +596,12 @@ impl Worker {
         let Some(mut entry) = self.slots[slot].take() else {
             return;
         };
-        // Best-effort farewell flush (the legacy BufWriter flushed on
-        // drop, ignoring errors); then dropping the stream closes the fd,
-        // which also deregisters it from epoll; the generation bump
-        // invalidates in-flight tokens and pending timers.
+        // Best-effort farewell flush, so replies already produced (before
+        // a quit, a drop fault or a fatal error) still reach the peer;
+        // errors are ignored because the connection is going away anyway.
+        // Dropping the stream then closes the fd, which also deregisters
+        // it from epoll; the generation bump invalidates in-flight tokens
+        // and pending timers.
         let _ = entry
             .conn
             .flush_to(&mut entry.stream, &mut self.pool, &self.shared);
@@ -826,8 +714,7 @@ impl Worker {
 
     /// The drain deadline passed: close the listener first (no accepts
     /// after the sever, even if the drain flag was never seen), then
-    /// forcibly close every remaining connection (flushing what we can)
-    /// and drain the intake.
+    /// forcibly close every remaining connection (flushing what we can).
     fn sever_all(&mut self) {
         self.close_listener();
         for slot in 0..self.slots.len() {
@@ -839,6 +726,5 @@ impl Worker {
                 self.close(slot, true);
             }
         }
-        self.take_intake(Instant::now());
     }
 }

@@ -1,10 +1,11 @@
 //! The TCP server: a Twemcache-like KVS speaking the text protocol.
 //!
-//! One thread per connection over a shared, hash-partitioned
+//! N epoll reactor workers (see [`crate::net`]), each accepting on its own
+//! `SO_REUSEPORT` listener, over a shared, hash-partitioned
 //! [`ShardedStore`]. [`Server::start`] uses a single shard (one lock, the
 //! stock-Twemcache arrangement); [`Server::start_sharded`] partitions keys
 //! over independently locked shards — the paper's §4.1 vertical-scaling
-//! recipe, where threads touching different partitions never contend.
+//! recipe, where workers touching different partitions never contend.
 //!
 //! The IQ framework's cost computation lives here: `iqget` misses record a
 //! timestamp, and a later `iqset` for the same key uses the elapsed
@@ -21,22 +22,19 @@
 //! over plain HTTP for scraping.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use camp_telemetry::{kvlog, FlightRecorder, LogLevel, RequestSpan};
 
-use crate::fault::{FaultAction, FaultPlan, FaultState};
-use crate::metrics::{
-    CmdKind, FaultKind, ReactorStats, RecorderSink, RejectCause, ServerMetrics, TelemetryReport,
-};
+use crate::fault::FaultPlan;
+use crate::metrics::{CmdKind, ReactorStats, RecorderSink, ServerMetrics, TelemetryReport};
 use crate::net::epoll::ReusePortListener;
-use crate::protocol::{
-    parse_command_limited, Command, SetHeader, SetVerb, StatsScope, DEFAULT_MAX_VALUE_LEN,
-};
+use crate::net::reactor::Reactor;
+use crate::protocol::{Command, SetHeader, SetVerb, StatsScope, DEFAULT_MAX_VALUE_LEN};
 use crate::shard::ShardedStore;
 use crate::store::{StoreConfig, StoreError, StoreStats};
 use crate::sync::{lock, ConnGauge};
@@ -45,17 +43,6 @@ use crate::sync::{lock, ConnGauge};
 /// issues the paired `iqset` (crashed, gave up) would otherwise leak its
 /// registry entry forever; the sweep drops entries past this age.
 const IQ_MISS_TTL: Duration = Duration::from_secs(120);
-
-/// Granularity of a connection's blocking reads: the socket read timeout
-/// is capped at this tick so a blocked connection periodically wakes to
-/// check the idle deadline and the drain flag. Reads on a socket that has
-/// data ready return immediately, so the tick costs the hot path nothing.
-const READ_TICK: Duration = Duration::from_millis(500);
-
-/// Read-timeout nudge applied to every live connection when a drain
-/// begins, so idle connections notice the drain within ~this interval
-/// instead of a full [`READ_TICK`].
-const DRAIN_TICK: Duration = Duration::from_millis(50);
 
 /// Default drain deadline for [`Server::shutdown`].
 const DEFAULT_DRAIN: Duration = Duration::from_secs(5);
@@ -139,50 +126,8 @@ impl IqRegistry {
     }
 }
 
-/// The live-connection registry: a cloned stream handle per connection,
-/// so a drain can nudge read timeouts and sever stragglers from outside
-/// the connection threads.
-#[derive(Debug, Default)]
-struct ConnRegistry {
-    streams: Mutex<HashMap<u64, TcpStream>>,
-}
-
-impl ConnRegistry {
-    fn insert(&self, id: u64, stream: &TcpStream) {
-        if let Ok(clone) = stream.try_clone() {
-            lock(&self.streams).insert(id, clone);
-        }
-    }
-
-    fn remove(&self, id: u64) {
-        lock(&self.streams).remove(&id);
-    }
-
-    fn len(&self) -> usize {
-        lock(&self.streams).len()
-    }
-
-    /// Shortens every live connection's read timeout so blocked reads wake
-    /// promptly (SO_RCVTIMEO is per-socket; the clone shares it).
-    fn nudge(&self, timeout: Duration) {
-        for stream in lock(&self.streams).values() {
-            stream.set_read_timeout(Some(timeout)).ok();
-        }
-    }
-
-    /// Severs every connection still registered; returns how many.
-    fn sever_all(&self) -> u64 {
-        let mut severed = 0;
-        for stream in lock(&self.streams).values() {
-            stream.shutdown(Shutdown::Both).ok();
-            severed += 1;
-        }
-        severed
-    }
-}
-
-/// Shared server state (visible to the `net` reactor modules, which are
-/// the other consumers of the command-execution layer).
+/// Shared server state (visible to the `net` reactor modules, which drive
+/// the command-execution layer).
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) store: ShardedStore,
@@ -196,7 +141,6 @@ pub(crate) struct Shared {
     pub(crate) conns: ConnGauge,
     /// Connection-id allocator (also seeds per-connection fault streams).
     pub(crate) next_conn_id: AtomicU64,
-    registry: ConnRegistry,
     /// Accept cap (0 = unlimited).
     pub(crate) max_conns: usize,
     /// Declared-length cap on set data blocks.
@@ -224,12 +168,7 @@ impl Shared {
     /// # Errors
     ///
     /// Propagates persistence-open failures (unusable `--data-dir`).
-    pub(crate) fn new(options: &ServerOptions) -> io::Result<Shared> {
-        let workers = if options.legacy_threads {
-            1
-        } else {
-            resolve_workers(options.workers)
-        };
+    pub(crate) fn new(options: &ServerOptions, workers: usize) -> io::Result<Shared> {
         let recorder = Arc::new(FlightRecorder::new(workers, options.slow_log_us));
         let store = ShardedStore::new(options.config.clone(), options.shards);
         store.set_trace_sink(Some(Arc::new(RecorderSink::new(Arc::clone(&recorder)))));
@@ -252,7 +191,6 @@ impl Shared {
             draining: AtomicBool::new(false),
             conns: ConnGauge::new(options.max_conns),
             next_conn_id: AtomicU64::new(1),
-            registry: ConnRegistry::default(),
             max_conns: options.max_conns,
             max_value_len: options.max_value_len,
             idle_timeout: options.idle_timeout,
@@ -266,12 +204,6 @@ impl Shared {
     /// The registry stripe for `key` — same hash partition as the store.
     fn iq_stripe(&self, key: &[u8]) -> usize {
         self.store.shard_index(key)
-    }
-
-    fn stopping(&self) -> bool {
-        // ordering: SeqCst(x2) — shutdown/drain control plane; rare, and
-        // the simplest reasoning wins over saving a fence.
-        self.shutdown.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst)
     }
 }
 
@@ -302,20 +234,10 @@ pub struct ServerOptions {
     /// Deterministic fault-injection plan (`None` = faults off). See
     /// [`crate::fault`].
     pub fault_plan: Option<FaultPlan>,
-    /// Reactor worker event loops. `0` = auto: one per available core,
-    /// capped at 8 (the accept thread and shard locks saturate first).
-    /// Ignored under [`ServerOptions::legacy_threads`].
+    /// Reactor worker event loops, each with its own `SO_REUSEPORT`
+    /// listener. `0` = auto: one per available core, capped at 8 (past
+    /// that the shard locks saturate first).
     pub workers: usize,
-    /// Escape hatch: run the legacy thread-per-connection loop instead of
-    /// the epoll reactor (kept for one release; the daemon exposes it as
-    /// `--legacy-threads`).
-    pub legacy_threads: bool,
-    /// Reactor accept fallback: feed every worker from one blocking
-    /// accept thread instead of per-worker `SO_REUSEPORT` listeners (the
-    /// pre-PR 8 intake path; the daemon exposes it as
-    /// `--single-listener`). Ignored under
-    /// [`ServerOptions::legacy_threads`], which always uses one listener.
-    pub single_listener: bool,
     /// Slow-request threshold in microseconds: reactor request spans whose
     /// buffered→flushed time meets or exceeds this are promoted to the
     /// retained slow-request log (dumped by `trace` and `/trace`). `None`
@@ -332,7 +254,7 @@ pub struct ServerOptions {
 impl ServerOptions {
     /// Single-shard options with no metrics listener, no connection cap,
     /// a 1 MiB value cap, a 60 s idle timeout, no fault injection, and
-    /// the reactor backend with auto worker count.
+    /// an auto worker count.
     #[must_use]
     pub fn new(config: StoreConfig) -> ServerOptions {
         ServerOptions {
@@ -344,8 +266,6 @@ impl ServerOptions {
             idle_timeout: Duration::from_secs(60),
             fault_plan: None,
             workers: 0,
-            legacy_threads: false,
-            single_listener: false,
             slow_log_us: None,
             persist: None,
         }
@@ -406,24 +326,14 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
     metrics_thread: Option<std::thread::JoinHandle<()>>,
     persist_thread: Option<std::thread::JoinHandle<()>>,
-    backend: Backend,
-}
-
-/// Which connection engine the server is running.
-#[derive(Debug)]
-enum Backend {
-    /// Thread-per-connection (the pre-reactor engine, kept one release).
-    Legacy,
-    /// The epoll reactor: N worker event loops (see [`crate::net`]).
-    Reactor(Arc<crate::net::reactor::Reactor>),
+    reactor: Reactor,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept loop on a background thread.
+    /// reactor workers.
     ///
     /// # Errors
     ///
@@ -448,15 +358,17 @@ impl Server {
         )
     }
 
-    /// The general entry point: binds `addr`, optionally binds the metrics
-    /// exposition listener, and starts the accept loops.
+    /// The general entry point: binds one `SO_REUSEPORT` listener per
+    /// worker on `addr`, optionally binds the metrics exposition listener,
+    /// and starts the reactor workers.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from binding either listener.
     pub fn start_with(addr: &str, options: ServerOptions) -> io::Result<Server> {
         let policy = options.config.eviction.to_string();
-        let shared = Arc::new(Shared::new(&options)?);
+        let workers = resolve_workers(options.workers);
+        let shared = Arc::new(Shared::new(&options, workers)?);
         // The persistence maintenance thread (interval fsync, degraded
         // retry) starts before the listeners: telemetry and re-arm work
         // even if binding fails later and the Server is dropped.
@@ -475,46 +387,20 @@ impl Server {
             }
             None => None,
         };
-        let (backend, accept_thread, local_addr) = if options.legacy_threads {
-            let listener = TcpListener::bind(addr)?;
-            let local_addr = listener.local_addr()?;
-            let accept_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name("camp-kvs-accept".into())
-                .spawn(move || accept_loop(&listener, &accept_shared))?;
-            (Backend::Legacy, Some(handle), local_addr)
-        } else if options.single_listener {
-            let listener = TcpListener::bind(addr)?;
-            let local_addr = listener.local_addr()?;
-            let workers = resolve_workers(options.workers);
-            let reactor = Arc::new(crate::net::reactor::Reactor::start(&shared, workers)?);
-            let accept_shared = Arc::clone(&shared);
-            let accept_reactor = Arc::clone(&reactor);
-            let handle = std::thread::Builder::new()
-                .name("camp-kvs-accept".into())
-                .spawn(move || accept_loop_reactor(&listener, &accept_shared, &accept_reactor))?;
-            (Backend::Reactor(reactor), Some(handle), local_addr)
-        } else {
-            // Default: one SO_REUSEPORT listener per worker, each accepted
-            // inside its owner's event loop — no accept thread at all. The
-            // first bind resolves any ephemeral port; siblings bind the
-            // concrete address so they share the same port group.
-            let workers = resolve_workers(options.workers);
-            let first_addr = addr
-                .to_socket_addrs()?
-                .next()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-            let first = ReusePortListener::bind(first_addr)?;
-            let local_addr = first.local_addr();
-            let mut listeners = vec![first];
-            for _ in 1..workers {
-                listeners.push(ReusePortListener::bind(local_addr)?);
-            }
-            let reactor = Arc::new(crate::net::reactor::Reactor::start_with_listeners(
-                &shared, listeners,
-            )?);
-            (Backend::Reactor(reactor), None, local_addr)
-        };
+        // Each worker accepts inside its own event loop. The first bind
+        // resolves any ephemeral port; siblings bind the concrete address
+        // so they share the same port group.
+        let first_addr = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
+        let first = ReusePortListener::bind(first_addr)?;
+        let local_addr = first.local_addr();
+        let mut listeners = vec![first];
+        for _ in 1..workers {
+            listeners.push(ReusePortListener::bind(local_addr)?);
+        }
+        let reactor = Reactor::start(&shared, listeners)?;
         let (metrics_addr, metrics_thread) = match options.metrics_addr.as_deref() {
             Some(addr) => {
                 let listener = TcpListener::bind(addr)?;
@@ -539,10 +425,9 @@ impl Server {
             shared,
             local_addr,
             metrics_addr,
-            accept_thread,
             metrics_thread,
             persist_thread,
-            backend,
+            reactor,
         })
     }
 
@@ -583,42 +468,26 @@ impl Server {
         self.shutdown_with_drain(DEFAULT_DRAIN)
     }
 
-    /// Gracefully stops the server: the listener closes immediately (no
+    /// Gracefully stops the server: the listeners close immediately (no
     /// new connections), in-flight commands run to completion, idle
-    /// connections are closed at their next read tick, and anything still
-    /// busy when `deadline` expires is forcibly severed. Returns an
-    /// accounting of what happened.
+    /// connections are closed at once, and anything still busy when
+    /// `deadline` expires is forcibly severed. Returns an accounting of
+    /// what happened.
     pub fn shutdown_with_drain(mut self, deadline: Duration) -> DrainReport {
         let started = Instant::now();
         let requests_before = self.shared.metrics.total_requests();
-        let connections_at_drain = match &self.backend {
-            Backend::Legacy => self.shared.registry.len() as u64,
-            Backend::Reactor(_) => self.shared.conns.live() as u64,
-        };
-        // ordering: SeqCst — drain control plane; see `stopping`.
+        let connections_at_drain = self.shared.conns.live() as u64;
+        // ordering: SeqCst — drain control plane; rare, simplest reasoning.
         self.shared.draining.store(true, Ordering::SeqCst);
         self.signal_shutdown();
-        self.join_threads();
-        let severed = match &self.backend {
-            Backend::Legacy => {
-                // Shorten every blocked read so idle connections notice the
-                // drain within a DRAIN_TICK instead of a full READ_TICK.
-                self.shared.registry.nudge(DRAIN_TICK);
-                while self.shared.registry.len() > 0 && started.elapsed() < deadline {
-                    std::thread::sleep(DRAIN_TICK);
-                }
-                self.shared.registry.sever_all()
-            }
-            Backend::Reactor(reactor) => {
-                // The drain flag is already visible; a wake-up makes every
-                // worker sweep its idle connections immediately.
-                reactor.wake_all();
-                while self.shared.conns.live() > 0 && started.elapsed() < deadline {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                reactor.sever_and_join()
-            }
-        };
+        self.join_metrics();
+        // The drain flag is already visible; a wake-up makes every worker
+        // close its listener and sweep its idle connections immediately.
+        self.reactor.wake_all();
+        while self.shared.conns.live() > 0 && started.elapsed() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let severed = self.reactor.sever_and_join();
         // All request workers are gone: no appends can race the seal.
         self.seal_persistence();
         let report = DrainReport {
@@ -644,25 +513,19 @@ impl Server {
         report
     }
 
+    /// Raises the shutdown flag and unblocks the metrics accept loop.
+    /// Reactor workers observe the flag on their next wakeup (the caller
+    /// follows with `wake_all` / `sever_and_join`).
     fn signal_shutdown(&self) {
-        // ordering: SeqCst — shutdown control plane; see `stopping`.
+        // ordering: SeqCst — shutdown control plane; rare, simplest reasoning.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         kvlog!(LogLevel::Info, "server_stopping", addr = self.local_addr);
-        // Unblock the accept thread, when one exists. The multi-listener
-        // path has none: workers observe the flag on their next wakeup
-        // (the caller follows with `wake_all` / `sever_and_join`).
-        if self.accept_thread.is_some() {
-            let _ = TcpStream::connect(self.local_addr);
-        }
         if let Some(addr) = self.metrics_addr {
             let _ = TcpStream::connect(addr);
         }
     }
 
-    fn join_threads(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+    fn join_metrics(&mut self) {
         if let Some(handle) = self.metrics_thread.take() {
             let _ = handle.join();
         }
@@ -685,391 +548,17 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // ordering: SeqCst — shutdown control plane; see `stopping`.
+        // ordering: SeqCst — shutdown control plane; rare, simplest reasoning.
         if !self.shared.shutdown.load(Ordering::SeqCst) {
             self.signal_shutdown();
         }
-        self.join_threads();
+        self.join_metrics();
         // After shutdown_with_drain the workers are already joined; this
         // covers a Server dropped without an explicit shutdown.
-        if let Backend::Reactor(reactor) = &self.backend {
-            if reactor.running() {
-                reactor.sever_and_join();
-            }
+        if self.reactor.running() {
+            self.reactor.sever_and_join();
         }
         self.seal_persistence();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // ordering: SeqCst — shutdown control plane; rare, simplest reasoning.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Overload protection: past the cap, reply with an explicit
-                // error and close — a client must never stall in a silent
-                // accept-queue limbo.
-                // A reservation, not a check-then-add: under an accept
-                // burst the old separate load + increment admitted past
-                // the cap (caught by the camp-check gauge harness).
-                if !shared.conns.try_reserve() {
-                    shared.metrics.record_rejected(RejectCause::MaxConns);
-                    let _ = stream.write_all(b"SERVER_ERROR too many connections\r\n");
-                    let _ = stream.shutdown(Shutdown::Both);
-                    kvlog!(
-                        LogLevel::Warn,
-                        "connection_rejected",
-                        cause = "max_conns",
-                        limit = shared.max_conns,
-                    );
-                    continue;
-                }
-                // ordering: Relaxed — unique-id counter; uniqueness needs
-                // only atomicity.
-                let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                shared.registry.insert(conn_id, &stream);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("camp-kvs-conn".into())
-                    .spawn(move || {
-                        conn_shared
-                            .metrics
-                            .connections_opened
-                            // ordering: Relaxed — statistics counter.
-                            .fetch_add(1, Ordering::Relaxed);
-                        if let Err(err) = handle_connection(stream, conn_id, &conn_shared) {
-                            kvlog!(LogLevel::Debug, "connection_error", error = err);
-                        }
-                        conn_shared.registry.remove(conn_id);
-                        conn_shared.conns.release();
-                        conn_shared
-                            .metrics
-                            .connections_closed
-                            // ordering: Relaxed — statistics counter.
-                            .fetch_add(1, Ordering::Relaxed);
-                    });
-                if spawned.is_err() {
-                    shared.registry.remove(conn_id);
-                    shared.conns.release();
-                }
-            }
-            Err(_) => {
-                // ordering: SeqCst — shutdown control plane; rare, simplest reasoning.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The reactor-backend accept loop: sockets are handed to a worker
-/// (round-robin by accept order — the pinning rule) instead of getting a
-/// thread. The `max_conns` slot is reserved here with a compare-exchange
-/// so the cap is exact under bursts, but enforcement — the error reply
-/// and close — happens in the worker's state machine.
-fn accept_loop_reactor(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    reactor: &Arc<crate::net::reactor::Reactor>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // ordering: SeqCst — shutdown control plane; rare, simplest reasoning.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let rejected = !shared.conns.try_reserve();
-                let id = if rejected {
-                    0
-                } else {
-                    // ordering: Relaxed — unique-id counter.
-                    shared.next_conn_id.fetch_add(1, Ordering::Relaxed)
-                };
-                reactor.submit(crate::net::reactor::Handoff {
-                    id,
-                    stream,
-                    rejected,
-                });
-            }
-            Err(_) => {
-                // ordering: SeqCst — shutdown control plane; rare, simplest reasoning.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Whether the connection's read buffer already holds a complete further
-/// command line. If it does, the client pipelined and the next response is
-/// coming right up — flushing now would waste a syscall per command. A
-/// buffer holding only a *partial* line (no `\n`) does not count: the
-/// client may be waiting on our responses before sending the rest, so we
-/// must flush to avoid a deadlock.
-fn pipeline_pending(buffered: &[u8]) -> bool {
-    !buffered.is_empty() && buffered.contains(&b'\n')
-}
-
-/// Why a patient read returned without a complete payload.
-enum ReadOutcome {
-    /// A complete line arrived; payload is its wire length in bytes.
-    Done(usize),
-    /// The peer closed the connection.
-    Eof,
-    /// The server began draining while the connection was between
-    /// commands — close it now.
-    Draining,
-    /// The idle deadline passed without a completed command.
-    IdleTimeout,
-}
-
-fn is_timeout(err: &io::Error) -> bool {
-    matches!(
-        err.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-fn idle_expired(shared: &Shared, last_complete: Instant) -> bool {
-    !shared.idle_timeout.is_zero() && last_complete.elapsed() >= shared.idle_timeout
-}
-
-/// Reads one command line, regaining control after every buffer fill to
-/// check the drain flag and the idle deadline. This is deliberately NOT
-/// `read_until`: that only returns on delimiter/EOF/error, so a slowloris
-/// client trickling one byte per timeout tick would hold the thread
-/// forever. Chunking through `fill_buf` checks the deadline between
-/// chunks — and since only a *completed* command resets the idle clock,
-/// the trickler is evicted on schedule. An active connection's data
-/// arrives in whole buffered chunks, so the hot path still costs one scan
-/// per chunk, same as `read_until`.
-fn read_line_patient(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut Vec<u8>,
-    shared: &Shared,
-    last_complete: Instant,
-) -> io::Result<ReadOutcome> {
-    loop {
-        let used = match reader.fill_buf() {
-            Ok([]) => {
-                // EOF: hand any partial line to the parser, as an un-timed
-                // read would.
-                return Ok(if line.is_empty() {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Done(line.len())
-                });
-            }
-            Ok(buf) => match buf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    line.extend_from_slice(&buf[..=pos]);
-                    reader.consume(pos + 1);
-                    return Ok(ReadOutcome::Done(line.len()));
-                }
-                None => {
-                    line.extend_from_slice(buf);
-                    buf.len()
-                }
-            },
-            Err(err) if is_timeout(&err) => 0,
-            Err(err) => return Err(err),
-        };
-        reader.consume(used);
-        if line.is_empty() && shared.stopping() {
-            return Ok(ReadOutcome::Draining);
-        }
-        if idle_expired(shared, last_complete) {
-            return Ok(ReadOutcome::IdleTimeout);
-        }
-    }
-}
-
-/// Fills `buf` across read-timeout ticks. std's `read_exact` discards its
-/// progress when a timeout surfaces mid-fill, so the offset is tracked
-/// here. Returns `false` when the idle deadline expires mid-block (a
-/// slowloris upload).
-fn read_exact_patient(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut [u8],
-    shared: &Shared,
-    last_complete: Instant,
-) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "client closed mid data block",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(err) if is_timeout(&err) => {
-                if idle_expired(shared, last_complete) {
-                    return Ok(false);
-                }
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    Ok(true)
-}
-
-/// Evicts a connection that exceeded the idle deadline: explicit error,
-/// flush, close.
-fn evict_idle(writer: &mut BufWriter<TcpStream>, shared: &Shared) -> io::Result<()> {
-    shared.metrics.record_rejected(RejectCause::IdleTimeout);
-    kvlog!(
-        LogLevel::Info,
-        "idle_connection_evicted",
-        timeout_ms = shared.idle_timeout.as_millis(),
-    );
-    writeln_crlf(writer, "SERVER_ERROR idle timeout")?;
-    writer.flush()
-}
-
-fn handle_connection(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    // One read timeout for the connection's lifetime (a per-command
-    // set_read_timeout would cost a syscall on the hot path): short enough
-    // to notice the idle deadline and a drain, long enough that an active
-    // connection never sees it — a read with data ready returns at once.
-    let tick = if shared.idle_timeout.is_zero() {
-        READ_TICK
-    } else {
-        shared.idle_timeout.min(READ_TICK)
-    };
-    stream.set_read_timeout(Some(tick)).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut faults = shared
-        .fault_plan
-        .as_ref()
-        .map(|plan| FaultState::new(plan, conn_id));
-    // Per-connection scratch buffers, reused across commands: the steady
-    // state of this loop allocates nothing. `line` backs the borrowed
-    // `Command<'_>` keys, `data` holds one set data block, `response`
-    // accumulates get VALUE blocks before one bulk write.
-    let mut line = Vec::new();
-    let mut data = Vec::new();
-    let mut response = Vec::new();
-    // The idle clock: time of the last *completed* command.
-    let mut last_complete = Instant::now();
-    loop {
-        line.clear();
-        let mut wire_bytes = match read_line_patient(&mut reader, &mut line, shared, last_complete)?
-        {
-            ReadOutcome::Done(read) => read as u64,
-            ReadOutcome::Eof | ReadOutcome::Draining => {
-                writer.flush()?;
-                return Ok(());
-            }
-            ReadOutcome::IdleTimeout => return evict_idle(&mut writer, shared),
-        };
-        while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-            line.pop();
-        }
-        if line.is_empty() {
-            if !pipeline_pending(reader.buffer()) {
-                writer.flush()?;
-            }
-            continue;
-        }
-        match parse_command_limited(&line, shared.max_value_len) {
-            Ok(Command::Quit) => {
-                writer.flush()?;
-                return Ok(());
-            }
-            Ok(command) => {
-                let kind = cmd_kind(&command);
-                // Read the set data block *before* starting the clock: the
-                // upload time belongs to the client/network, not to the
-                // command's service-time histogram.
-                let block: &[u8] = match &command {
-                    Command::Set { header } => {
-                        if !read_data_block(
-                            &mut reader,
-                            &mut data,
-                            header.bytes,
-                            shared,
-                            last_complete,
-                        )? {
-                            return evict_idle(&mut writer, shared);
-                        }
-                        wire_bytes += header.bytes as u64 + 2;
-                        &data
-                    }
-                    _ => &[],
-                };
-                shared.metrics.record_bytes(kind, wire_bytes);
-                // Chaos: the fault decision comes *after* the data block is
-                // consumed, so an injected error or delay never
-                // desynchronizes the protocol stream.
-                if let (Some(plan), Some(state)) = (shared.fault_plan.as_ref(), faults.as_mut()) {
-                    match state.decide(plan) {
-                        FaultAction::None => {}
-                        FaultAction::Delay(dur) => {
-                            shared.metrics.record_fault(FaultKind::Delay);
-                            std::thread::sleep(dur);
-                        }
-                        FaultAction::Error => {
-                            shared.metrics.record_fault(FaultKind::Error);
-                            writeln_crlf(&mut writer, "SERVER_ERROR injected fault")?;
-                            if !pipeline_pending(reader.buffer()) {
-                                writer.flush()?;
-                            }
-                            last_complete = Instant::now();
-                            continue;
-                        }
-                        FaultAction::Drop => {
-                            // Vanish pre-response — what a crash mid-request
-                            // looks like from the client's side.
-                            shared.metrics.record_fault(FaultKind::Drop);
-                            return Ok(());
-                        }
-                    }
-                }
-                let started = Instant::now();
-                let keep = execute(&command, block, &mut writer, &mut response, shared)?;
-                // Pipelining-aware flush coalescing: a burst of N commands
-                // produces one syscall-level write, not N.
-                if !pipeline_pending(reader.buffer()) {
-                    writer.flush()?;
-                }
-                let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                shared.metrics.record_latency(kind, micros);
-                last_complete = Instant::now();
-                if !keep {
-                    writer.flush()?;
-                    return Ok(());
-                }
-            }
-            Err(err) => {
-                shared.metrics.record_bytes(CmdKind::Other, wire_bytes);
-                shared
-                    .metrics
-                    .protocol_errors
-                    // ordering: Relaxed — statistics counter.
-                    .fetch_add(1, Ordering::Relaxed);
-                kvlog!(LogLevel::Debug, "protocol_error", error = err);
-                writeln_crlf(&mut writer, &err.to_string())?;
-                writer.flush()?;
-                if err.is_fatal() {
-                    // The refused data block is still on the wire; reading
-                    // on would desync, so the connection must close. Today
-                    // the only fatal parse error is an oversize value.
-                    shared.metrics.record_rejected(RejectCause::ValueTooLarge);
-                    return Ok(());
-                }
-                last_complete = Instant::now();
-            }
-        }
     }
 }
 
@@ -1090,41 +579,32 @@ pub(crate) fn cmd_kind(command: &Command) -> CmdKind {
     }
 }
 
-/// Executes one command against `shared`, writing the reply to `writer`
-/// (which the caller flushes when no pipelined command is pending). The
-/// legacy path passes its socket `BufWriter`; the reactor passes the
-/// connection's in-memory write buffer, where the I/O is infallible.
-/// `data` is the already-read set data block (empty otherwise); `response`
-/// is the connection's reusable get-serialization buffer. Returns false
-/// when the connection should close.
-pub(crate) fn execute<W: Write>(
+/// Executes one command against `shared`, appending the reply to `out`
+/// (the connection's in-memory output tail, which the reactor flushes).
+/// `data` is the already-read set data block (empty otherwise). Returns
+/// false when the connection should close.
+pub(crate) fn execute(
     command: &Command<'_>,
     data: &[u8],
-    writer: &mut W,
-    response: &mut Vec<u8>,
+    out: &mut Vec<u8>,
     shared: &Shared,
-) -> io::Result<bool> {
+) -> bool {
     match *command {
         Command::Get { ref keys } => {
             // Copy-free: each hit's VALUE block is serialized straight from
-            // the slab chunk into `response` (inside the shard lock); all
-            // keys resolve before the writer is touched, then one bulk
-            // write delivers the whole reply.
-            response.clear();
+            // the slab chunk into `out` (inside the shard lock).
             for key in keys.iter() {
                 shared.store.get_with(key, |item| {
-                    crate::resp::append_value(response, key, item.flags, item.value);
+                    crate::resp::append_value(out, key, item.flags, item.value);
                 });
             }
-            response.extend_from_slice(b"END\r\n");
-            writer.write_all(response)?;
+            out.extend_from_slice(b"END\r\n");
         }
         Command::IqGet { key } => {
-            response.clear();
             let hit = shared
                 .store
                 .get_with(key, |item| {
-                    crate::resp::append_value(response, key, item.flags, item.value);
+                    crate::resp::append_value(out, key, item.flags, item.value);
                 })
                 .is_some();
             if !hit {
@@ -1134,12 +614,11 @@ pub(crate) fn execute<W: Write>(
                     .iq_misses
                     .record_miss(shared.iq_stripe(key), key.to_vec());
             }
-            response.extend_from_slice(b"END\r\n");
-            writer.write_all(response)?;
+            out.extend_from_slice(b"END\r\n");
         }
         Command::Set { ref header } => {
             let reply = apply_set(header, data, shared);
-            writeln_crlf(writer, reply)?;
+            writeln_crlf(out, reply);
         }
         Command::Delete { key } => {
             let deleted = shared.store.delete(key);
@@ -1148,7 +627,7 @@ pub(crate) fn execute<W: Write>(
                     persist.append_delete(&shared.store, key);
                 }
             }
-            writeln_crlf(writer, if deleted { "DELETED" } else { "NOT_FOUND" })?;
+            writeln_crlf(out, if deleted { "DELETED" } else { "NOT_FOUND" });
         }
         Command::Arith { key, delta, up } => {
             let result = if up {
@@ -1173,9 +652,9 @@ pub(crate) fn execute<W: Write>(
                             );
                         }
                     }
-                    writeln_crlf(writer, &text)?;
+                    writeln_crlf(out, &text);
                 }
-                None => writeln_crlf(writer, "NOT_FOUND")?,
+                None => writeln_crlf(out, "NOT_FOUND"),
             }
         }
         Command::Touch { key, exptime } => {
@@ -1186,7 +665,7 @@ pub(crate) fn execute<W: Write>(
                     persist.append_touch(&shared.store, key, expires_at);
                 }
             }
-            writeln_crlf(writer, if touched { "TOUCHED" } else { "NOT_FOUND" })?;
+            writeln_crlf(out, if touched { "TOUCHED" } else { "NOT_FOUND" });
         }
         Command::FlushAll => {
             shared.store.flush_all();
@@ -1195,26 +674,23 @@ pub(crate) fn execute<W: Write>(
                 persist.append_clear(&shared.store);
             }
             kvlog!(LogLevel::Info, "flush_all");
-            writeln_crlf(writer, "OK")?;
+            writeln_crlf(out, "OK");
         }
         Command::Version => {
-            writeln_crlf(
-                writer,
-                concat!("VERSION camp-kvs/", env!("CARGO_PKG_VERSION")),
-            )?;
+            writeln_crlf(out, concat!("VERSION camp-kvs/", env!("CARGO_PKG_VERSION")));
         }
         Command::Stats { scope } => match scope {
             StatsScope::Summary => {
                 for stat_line in telemetry_report(shared).summary_lines() {
-                    writeln_crlf(writer, &stat_line)?;
+                    writeln_crlf(out, &stat_line);
                 }
-                writeln_crlf(writer, "END")?;
+                writeln_crlf(out, "END");
             }
             StatsScope::Detail => {
                 for stat_line in telemetry_report(shared).detail_lines() {
-                    writeln_crlf(writer, &stat_line)?;
+                    writeln_crlf(out, &stat_line);
                 }
-                writeln_crlf(writer, "END")?;
+                writeln_crlf(out, "END");
             }
             StatsScope::Reset => {
                 shared.store.reset_stats();
@@ -1224,24 +700,24 @@ pub(crate) fn execute<W: Write>(
                 // ordering: Relaxed — statistics counter reset.
                 shared.iq_misses.swept.store(0, Ordering::Relaxed);
                 kvlog!(LogLevel::Info, "stats_reset");
-                writeln_crlf(writer, "RESET")?;
+                writeln_crlf(out, "RESET");
             }
             StatsScope::Profile => {
                 for stat_line in telemetry_report(shared).profile_lines() {
-                    writeln_crlf(writer, &stat_line)?;
+                    writeln_crlf(out, &stat_line);
                 }
-                writeln_crlf(writer, "END")?;
+                writeln_crlf(out, "END");
             }
         },
         Command::Trace => {
             for trace_line in trace_lines(shared) {
-                writeln_crlf(writer, &trace_line)?;
+                writeln_crlf(out, &trace_line);
             }
-            writeln_crlf(writer, "END")?;
+            writeln_crlf(out, "END");
         }
-        Command::Quit => return Ok(false),
+        Command::Quit => return false,
     }
-    Ok(true)
+    true
 }
 
 /// How many recent spans / eviction events a `trace` dump includes (the
@@ -1490,41 +966,9 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Reads a `bytes`-long data block plus its CRLF terminator into the
-/// connection's reusable scratch buffer (growing but never reallocating
-/// once warm, and never zero-filling more than the growth delta).
-/// Returns `false` when the idle deadline expired mid-upload.
-fn read_data_block(
-    reader: &mut BufReader<TcpStream>,
-    data: &mut Vec<u8>,
-    bytes: usize,
-    shared: &Shared,
-    last_complete: Instant,
-) -> io::Result<bool> {
-    if data.len() < bytes {
-        data.resize(bytes, 0);
-    } else {
-        data.truncate(bytes);
-    }
-    if !read_exact_patient(reader, data, shared, last_complete)? {
-        return Ok(false);
-    }
-    let mut crlf = [0u8; 2];
-    if !read_exact_patient(reader, &mut crlf, shared, last_complete)? {
-        return Ok(false);
-    }
-    if &crlf != b"\r\n" {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "data block not terminated by CRLF",
-        ));
-    }
-    Ok(true)
-}
-
-fn writeln_crlf<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\r\n")
+fn writeln_crlf(out: &mut Vec<u8>, line: &str) {
+    out.extend_from_slice(line.as_bytes());
+    out.extend_from_slice(b"\r\n");
 }
 
 #[cfg(test)]
@@ -1533,6 +977,7 @@ mod tests {
     use crate::slab::SlabConfig;
     use crate::store::EvictionMode;
     use camp_core::Precision;
+    use std::io::Read;
 
     fn test_server() -> Server {
         Server::start(

@@ -1,19 +1,20 @@
 //! Poison-recovering lock helper and the connection-slot gauge.
 //!
 //! The server holds shard locks only around store operations that maintain
-//! their own invariants, so a panicking connection thread must not wedge
-//! every later request on a `PoisonError`. Recovery used to be silent,
-//! which made a panicking connection thread invisible; every recovery now
-//! bumps a process-global counter (exported as
+//! their own invariants, so a thread that panics while holding one (a
+//! reactor worker, the persistence thread, the metrics listener) must not
+//! wedge every later request on a `PoisonError`. Recovery used to be
+//! silent, which made such a panic invisible; every recovery now bumps a
+//! process-global counter (exported as
 //! `camp_lock_poison_recovered_total` / `STAT lock_poison_recovered`) and
 //! logs a warning, so "the cache survived a panic" is observable instead
 //! of inferred.
 //!
 //! [`ConnGauge`] is the single authority for the `max_conns` cap: every
-//! accept path reserves a slot through the same compare-exchange loop, so
-//! the cap is exact under accept bursts. (The legacy accept loop used to
-//! check the count and increment it separately, which over-admitted under
-//! a burst — a race the `camp-check` reservation harness below catches in
+//! reactor worker reserves a slot through the same compare-exchange loop,
+//! so the cap is exact under accept bursts spread over several listeners.
+//! (Checking the count and incrementing it separately over-admits under a
+//! burst — a race the `camp-check` reservation harness below catches in
 //! its mutated form.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +39,7 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
                 LogLevel::Warn,
                 "lock_poison_recovered",
                 total = total,
-                hint = "a connection thread panicked while holding this lock",
+                hint = "a thread panicked while holding this lock",
             );
             poisoned.into_inner()
         }

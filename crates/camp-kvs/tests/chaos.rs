@@ -198,16 +198,24 @@ fn slowloris_client_is_evicted_at_the_idle_deadline() {
     server.shutdown();
 }
 
-/// A 100-connection burst against an 8-connection cap: every connection
-/// past the cap gets an explicit `SERVER_ERROR` (never a silent stall)
-/// and the rejection counter matches exactly. Shared by the per-worker
-/// SO_REUSEPORT intake path and the single-accept-thread fallback — the
-/// accept-side reservation accounting must be identical on both.
-fn burst_rejects_exactly_92(options: ServerOptions) {
-    let server = start(options);
+/// A 100-connection burst against an 8-connection cap on two reactor
+/// workers, each with its own SO_REUSEPORT listener: every connection
+/// past the cap gets an explicit `SERVER_ERROR` (never a silent stall).
+/// The cap is one shared counter, so the 8/92 split must hold exactly no
+/// matter which listener the kernel routes each connection to; the
+/// rejection counter matches, and the per-worker accept counters account
+/// for every socket of the burst.
+#[test]
+fn connection_burst_past_max_conns_is_rejected_explicitly() {
+    const BURST: u64 = 100;
+    let server = start(ServerOptions {
+        max_conns: 8,
+        workers: 2,
+        ..base_options()
+    });
     let addr = server.local_addr();
     let mut streams = Vec::new();
-    for _ in 0..100 {
+    for _ in 0..BURST {
         let mut stream = TcpStream::connect(addr).expect("TCP connect always succeeds");
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -258,34 +266,30 @@ fn burst_rejects_exactly_92(options: ServerOptions) {
         text.contains("STAT conn_rejected:max_conns 92"),
         "missing rejection counter in:\n{text}"
     );
+    // Every socket enters through some worker's own listener, so the
+    // per-worker accept counters sum to the burst size — rejected sockets
+    // included, since they are accepted before they are refused.
+    let worker_rows: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("STAT reactor:worker"))
+        .collect();
+    assert_eq!(worker_rows.len(), 2, "expected two worker rows in:\n{text}");
+    let accepts: u64 = worker_rows
+        .iter()
+        .map(|row| {
+            row.split_whitespace()
+                .find_map(|field| field.strip_prefix("accepts="))
+                .and_then(|n| n.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("no accepts= field in {row:?}"))
+        })
+        .sum();
+    assert_eq!(
+        accepts, BURST,
+        "accept counters disagree with the burst:\n{text}"
+    );
     drop(held);
     drop(conn);
     server.shutdown();
-}
-
-/// The burst on the default intake path: two reactor workers, each with
-/// its own SO_REUSEPORT listener. The cap is one shared counter, so the
-/// 8/92 split must hold exactly no matter which listener the kernel
-/// routes each connection to.
-#[test]
-fn connection_burst_past_max_conns_is_rejected_explicitly() {
-    burst_rejects_exactly_92(ServerOptions {
-        max_conns: 8,
-        workers: 2,
-        ..base_options()
-    });
-}
-
-/// The same burst through the `--single-listener` fallback: one blocking
-/// accept thread feeding both workers must account identically.
-#[test]
-fn connection_burst_is_rejected_identically_on_the_single_listener_path() {
-    burst_rejects_exactly_92(ServerOptions {
-        max_conns: 8,
-        workers: 2,
-        single_listener: true,
-        ..base_options()
-    });
 }
 
 /// Once a drain begins, the per-worker listeners close before anything

@@ -1,4 +1,4 @@
-//! Scale and backend-parity coverage for the epoll reactor.
+//! Scale and multi-worker coverage for the epoll reactor.
 //!
 //! The headline test holds ten thousand concurrent connections against a
 //! two-worker reactor — the connection count the thread-per-connection
@@ -7,8 +7,7 @@
 //! two processes split the per-process RLIMIT_NOFILE budget). The test is
 //! gated on that rlimit and skips, loudly, where the limit is too low.
 //!
-//! The remaining tests pin down behaviors the big soak would mask: the
-//! `legacy_threads` engine still serves traffic end to end, and an
+//! The remaining test pins down a behavior the big soak would mask: an
 //! explicit multi-worker reactor spreads connections without mixing up
 //! replies.
 
@@ -75,9 +74,10 @@ fn stat_value(addr: std::net::SocketAddr, name: &str) -> Option<u64> {
 /// (`--threads`), the run completes with at most a sliver of dial-storm
 /// casualties, and the server accounts for every accept. Skips where
 /// RLIMIT_NOFILE cannot hold one fd per connection plus headroom in each
-/// process. Runs on both intake paths: per-worker SO_REUSEPORT listeners
-/// (the default) and the single-accept-thread fallback.
-fn ten_thousand_connection_soak(single_listener: bool) {
+/// process. Each of the two workers accepts from its own SO_REUSEPORT
+/// listener.
+#[test]
+fn ten_thousand_connection_soak_over_the_reactor() {
     let needed = SOAK_CONNS as u64 + 512;
     match max_open_files() {
         Some(limit) if limit >= needed => {}
@@ -96,7 +96,6 @@ fn ten_thousand_connection_soak(single_listener: bool) {
     let server = start(ServerOptions {
         max_conns: 0, // unlimited: the soak itself is the cap test's opposite
         workers: 2,
-        single_listener,
         ..base_options()
     });
     let addr = server.local_addr();
@@ -172,51 +171,6 @@ fn ten_thousand_connection_soak(single_listener: bool) {
         "connections_opened {opened} outside [{floor}, {})",
         floor + 200
     );
-
-    let report = server.shutdown_with_drain(Duration::from_secs(5));
-    assert!(report.is_clean(), "drain not clean: {report:?}");
-}
-
-/// The soak on the default intake path: each of the two workers accepts
-/// from its own SO_REUSEPORT listener.
-#[test]
-fn ten_thousand_connection_soak_over_the_reactor() {
-    ten_thousand_connection_soak(false);
-}
-
-/// The soak through the `--single-listener` fallback: one blocking accept
-/// thread hands all ten thousand connections across to the workers.
-#[test]
-fn ten_thousand_connection_soak_over_the_single_listener_path() {
-    ten_thousand_connection_soak(true);
-}
-
-/// The `legacy_threads` engine (one thread per connection) still serves a
-/// full set/get/delete conversation and drains cleanly — it remains the
-/// documented fallback for one release.
-#[test]
-fn legacy_thread_backend_still_serves_and_drains() {
-    let server = start(ServerOptions {
-        legacy_threads: true,
-        ..base_options()
-    });
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-
-    writer.write_all(b"set alpha 0 0 3\r\nxyz\r\n").unwrap();
-    assert_eq!(read_reply_line(&mut reader), "STORED");
-    writer.write_all(b"get alpha\r\n").unwrap();
-    assert_eq!(read_reply_line(&mut reader), "VALUE alpha 0 3");
-    assert_eq!(read_reply_line(&mut reader), "xyz");
-    assert_eq!(read_reply_line(&mut reader), "END");
-    writer.write_all(b"delete alpha\r\n").unwrap();
-    assert_eq!(read_reply_line(&mut reader), "DELETED");
-    writer.write_all(b"quit\r\n").unwrap();
-    drop((reader, writer));
 
     let report = server.shutdown_with_drain(Duration::from_secs(5));
     assert!(report.is_clean(), "drain not clean: {report:?}");

@@ -144,15 +144,24 @@ impl Histogram {
     /// Zeroes every bucket and counter. Each word is cleared atomically;
     /// a racing `record` may land before or after its bucket is cleared,
     /// so a reset under fire is eventually consistent, never corrupt.
+    ///
+    /// `count` is cleared *before* the buckets, because `record` bumps its
+    /// bucket before `count`: a record whose bucket increment survives the
+    /// reset then also keeps its `count` increment, so bucket totals lag
+    /// `count` rather than overshoot it. (The other order lets every record
+    /// landing during the bucket sweep keep its bucket and lose its count.)
     pub fn reset(&self) {
         // ordering: Relaxed throughout — documented as eventually consistent
-        // under concurrent recording; no ordering between words is promised.
-        for bucket in self.buckets.iter() {
-            bucket.store(0, Ordering::Relaxed);
-        }
+        // under concurrent recording. The clear order above narrows the
+        // skew on hardware that keeps one thread's stores in order (x86-64
+        // TSO); Relaxed promises no cross-word order, and none is needed
+        // for the counters to stay uncorrupted.
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
+        for bucket in self.buckets.iter() {
+            bucket.store(0, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy for quantile readout. Concurrent recording can

@@ -8,7 +8,7 @@
 //! * [`histogram`] — lock-free, log-bucketed (power-of-2 major buckets,
 //!   16 sub-buckets each, HDR-style) latency histograms with p50/p90/p99/p999
 //!   readout and cross-shard merge. Recording is a handful of relaxed atomic
-//!   adds — safe to call from every connection thread with no mutex.
+//!   adds — safe to call from every worker thread with no mutex.
 //! * [`logger`] — a leveled, structured (key=value line format) logger
 //!   behind a global atomic level, replacing ad-hoc prints.
 //! * [`expose`] — a Prometheus-style text exposition builder, so the

@@ -1,15 +1,25 @@
 //! End-to-end tests of the `tracegen` binary.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn tracegen() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tracegen"))
 }
 
+/// A fresh, empty directory owned by one test of one test process, so
+/// tests running in parallel (or concurrent runs of the suite) never
+/// share or delete each other's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("camp-tracegen-cli-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
 #[test]
 fn generate_then_info_roundtrip() {
-    let dir = std::env::temp_dir().join("camp-tracegen-cli");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("generate_then_info_roundtrip");
     let path = dir.join("cli.trace");
 
     let output = tracegen()
@@ -41,13 +51,12 @@ fn generate_then_info_roundtrip() {
     assert!(stdout.contains("distinct costs    : 3"), "{stdout}");
     assert!(stdout.contains("costs stable"), "{stdout}");
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn evolving_generates_disjoint_trace_files() {
-    let dir = std::env::temp_dir().join("camp-tracegen-cli");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("evolving_generates_disjoint_trace_files");
     let path = dir.join("evolving.trace");
     let output = tracegen()
         .args([
@@ -68,7 +77,7 @@ fn evolving_generates_disjoint_trace_files() {
     assert_eq!(trace.len(), 3_000);
     let ids: std::collections::HashSet<u32> = trace.iter().map(|r| r.trace_id).collect();
     assert_eq!(ids, [0u32, 1, 2].into_iter().collect());
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
