@@ -179,9 +179,12 @@ mod tests {
     fn save_csv_writes_file() {
         let mut t = Table::new(vec!["n"]);
         t.row(vec!["1".into()]);
-        let dir = std::env::temp_dir().join("camp-bench-table-test");
+        let dir = std::env::temp_dir().join(format!(
+            "camp-bench-table-test-{}-save_csv_writes_file",
+            std::process::id()
+        ));
         let path = t.save_csv(&dir, "unit").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "n\n1\n");
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -474,41 +474,52 @@ impl Persist {
     }
 
     fn append_locked(&self, w: &mut LogWriter, store: &ShardedStore, rec: &Record<'_>) {
+        if !self.write_locked(w, rec) {
+            return;
+        }
+        if self.options.fsync == FsyncMode::Always {
+            self.sync_locked(w);
+        }
+        if w.committed >= self.options.segment_bytes {
+            self.rotate_locked(w, store);
+        }
+    }
+
+    /// Encodes `rec` and appends it to the active segment. On failure a
+    /// short write may have torn the tail, so the segment is truncated
+    /// back to the last committed offset and the error counted; returns
+    /// whether the record landed.
+    fn write_locked(&self, w: &mut LogWriter, rec: &Record<'_>) -> bool {
         w.scratch.clear();
         record::encode_into(rec, &mut w.scratch);
         let len = w.scratch.len() as u64;
-        match w.backend.append(&w.scratch) {
+        if w.backend.append(&w.scratch).is_err() {
+            let repaired = w.backend.truncate(w.committed).is_ok();
+            self.note_io_error_locked(w);
+            if !repaired {
+                self.trip_locked(w);
+            }
+            return false;
+        }
+        w.committed += len;
+        w.dirty = true;
+        w.consecutive_errors = 0;
+        // ordering: Relaxed(x2) — statistics counters; durability state
+        // travels through the writer lock, not these.
+        self.bytes.fetch_add(len, Ordering::Relaxed);
+        self.records.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Fsyncs the active segment, counting a failure as an I/O error.
+    fn sync_locked(&self, w: &mut LogWriter) {
+        match w.backend.sync() {
             Ok(()) => {
-                w.committed += len;
-                w.dirty = true;
-                w.consecutive_errors = 0;
-                // ordering: Relaxed(x2) — statistics counters; durability
-                // state travels through the writer lock, not these.
-                self.bytes.fetch_add(len, Ordering::Relaxed);
-                self.records.fetch_add(1, Ordering::Relaxed);
-                if self.options.fsync == FsyncMode::Always {
-                    match w.backend.sync() {
-                        Ok(()) => {
-                            w.dirty = false;
-                            // ordering: Relaxed — statistics counter.
-                            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => self.note_io_error_locked(w),
-                    }
-                }
-                if w.committed >= self.options.segment_bytes {
-                    self.rotate_locked(w, store);
-                }
+                w.dirty = false;
+                // ordering: Relaxed — statistics counter.
+                self.fsyncs.fetch_add(1, Ordering::Relaxed);
             }
-            Err(_) => {
-                // A short write may have torn the tail; repair by
-                // truncating back to the last committed offset.
-                let repaired = w.backend.truncate(w.committed).is_ok();
-                self.note_io_error_locked(w);
-                if !repaired {
-                    self.trip_locked(w);
-                }
-            }
+            Err(_) => self.note_io_error_locked(w),
         }
     }
 
@@ -720,16 +731,8 @@ impl Persist {
             return;
         }
         let w = &mut *lock(&self.writer);
-        if !w.dirty {
-            return;
-        }
-        match w.backend.sync() {
-            Ok(()) => {
-                w.dirty = false;
-                // ordering: Relaxed — statistics counter.
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => self.note_io_error_locked(w),
+        if w.dirty {
+            self.sync_locked(w);
         }
     }
 
@@ -741,18 +744,8 @@ impl Persist {
             return;
         }
         let w = &mut *lock(&self.writer);
-        w.scratch.clear();
-        record::encode_into(&Record::Seal, &mut w.scratch);
-        let len = w.scratch.len() as u64;
-        if w.backend.append(&w.scratch).is_ok() {
-            w.committed += len;
-            // ordering: Relaxed(x3) — statistics counters.
-            self.bytes.fetch_add(len, Ordering::Relaxed);
-            self.records.fetch_add(1, Ordering::Relaxed);
-            if w.backend.sync().is_ok() {
-                w.dirty = false;
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
+        if self.write_locked(w, &Record::Seal) {
+            self.sync_locked(w);
         }
     }
 
@@ -1143,6 +1136,48 @@ mod tests {
             persist.snapshot().fsyncs >= 1,
             "interval mode must fsync dirty bytes in the background"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_seal_counts_errors_and_leaves_no_torn_tail() {
+        let dir = temp_dir("seal-fail");
+        let store = sharded();
+        let scan =
+            |index| record::scan(&fs::read(segment_path(&dir, index)).expect("read"), |_| {});
+
+        // Every append is a short write: half the seal lands, then EIO.
+        let plan = FaultPlan {
+            iowrite_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        let persist = Persist::open(options(&dir), &plan, &store).expect("open");
+        persist.seal();
+        assert_eq!(
+            persist.snapshot().errors,
+            1,
+            "failed seal append is counted"
+        );
+        drop(persist);
+        let first = scan(0);
+        assert_eq!(first.torn_bytes, 0, "torn seal prefix truncated away");
+        assert_eq!((first.applied, first.sealed), (0, false));
+
+        // The seal lands but its fsync fails.
+        let plan = FaultPlan {
+            fsync_fail_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        let persist = Persist::open(options(&dir), &plan, &store).expect("reopen");
+        persist.seal();
+        let snap = persist.snapshot();
+        assert_eq!(snap.errors, 1, "failed seal fsync is counted");
+        assert_eq!(snap.fsyncs, 0);
+        drop(persist);
+        let second = scan(1);
+        assert_eq!(second.torn_bytes, 0);
+        assert_eq!(second.quarantined, 0);
+        assert_eq!((second.applied, second.sealed), (1, true));
         fs::remove_dir_all(&dir).ok();
     }
 

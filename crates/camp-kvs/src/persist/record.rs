@@ -84,22 +84,50 @@ pub enum Record<'a> {
     Seal,
 }
 
-/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78), table-driven.
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78), slice-by-16:
+/// each step folds 16 input bytes through sixteen 256-entry tables, and
+/// the sub-16-byte tail goes bytewise through the first table.
 /// Hand-rolled: the workspace is dependency-free by design.
 #[must_use]
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    static TABLE: [u32; 256] = build_crc_table();
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        let idx = (crc ^ u32::from(b)) & 0xFF;
-        crc = (crc >> 8) ^ TABLE[idx as usize];
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
+        // The running CRC folds into the block's first four bytes; byte
+        // `i` of the block then sits `15 - i` byte-shifts from the end.
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn build_crc_table() -> [u32; 256] {
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][i]` is
+/// the CRC contribution of byte `i` followed by `k` zero bytes. Built at
+/// compile time (16 KiB of read-only data).
+static CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; 16] {
     const POLY: u32 = 0x82F6_3B78;
-    let mut table = [0u32; 256];
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -112,10 +140,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 fn push_u16(buf: &mut Vec<u8>, v: u16) {
@@ -376,13 +414,106 @@ mod tests {
         parts.iter().flat_map(|p| p.iter().copied()).collect()
     }
 
+    /// Bit-at-a-time CRC32C straight from the polynomial: the oracle the
+    /// table-driven kernel is checked against.
+    fn crc32c_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0x82F6_3B78
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32c_matches_known_vectors() {
         // RFC 3720 appendix B.4 test vectors.
+        let ascending: Vec<u8> = (0x00..=0x1F).collect();
+        let descending: Vec<u8> = (0x00..=0x1F).rev().collect();
         assert_eq!(crc32c(b""), 0);
         assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+        assert_eq!(crc32c(&ascending), 0x46DD_794E);
+        assert_eq!(crc32c(&descending), 0x113F_DB5C);
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    }
+
+    #[test]
+    fn crc32c_matches_bitwise_reference_at_every_length_and_offset() {
+        let mut rng = Rng64::seed_from_u64(0xC5C3_2C16);
+        let base: Vec<u8> = (0..16 + 300).map(|_| rng.next_u64() as u8).collect();
+        for offset in 0..16 {
+            for len in 0..=300 {
+                let slice = &base[offset..offset + len];
+                assert_eq!(
+                    crc32c(slice),
+                    crc32c_bitwise(slice),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+        for round in 0..1_000 {
+            let len = rng.range_usize(0, 64 * 1024 + 1);
+            let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(
+                crc32c(&buf),
+                crc32c_bitwise(&buf),
+                "round {round}, len {len}"
+            );
+        }
+    }
+
+    /// A five-record segment (Set, Delete, Touch, Clear, Seal) as the
+    /// bytewise-CRC encoder wrote it. Any change to the record layout or
+    /// the checksum breaks this test, and with it every existing log.
+    const GOLDEN_SEGMENT: [u8; 114] = [
+        0x43, 0x50, 0x4C, 0x47, 0x00, 0x00, 0x00, 0x22, 0xB2, 0x51, 0xFC, 0x9B, 0x01, 0x00, 0x02,
+        0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xD2, 0x6B, 0x31, 0x68, 0x65, 0x6C, 0x6C,
+        0x6F, 0x43, 0x50, 0x4C, 0x47, 0x00, 0x00, 0x00, 0x05, 0x91, 0xD8, 0x7F, 0xF5, 0x02, 0x00,
+        0x02, 0x6B, 0x31, 0x43, 0x50, 0x4C, 0x47, 0x00, 0x00, 0x00, 0x0D, 0x60, 0xA4, 0x11, 0xDC,
+        0x04, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63, 0x6B, 0x32, 0x43, 0x50,
+        0x4C, 0x47, 0x00, 0x00, 0x00, 0x01, 0x41, 0x2D, 0xA0, 0xA5, 0x03, 0x43, 0x50, 0x4C, 0x47,
+        0x00, 0x00, 0x00, 0x01, 0x67, 0x8C, 0x47, 0x4D, 0x05,
+    ];
+
+    #[test]
+    fn golden_segment_is_reproduced_and_replays() {
+        let records = [
+            Record::Set {
+                key: b"k1",
+                value: b"hello",
+                flags: 7,
+                cost: 42,
+                expires_at: 1_234,
+            },
+            Record::Delete { key: b"k1" },
+            Record::Touch {
+                key: b"k2",
+                expires_at: 99,
+            },
+            Record::Clear,
+            Record::Seal,
+        ];
+        let mut encoded = Vec::new();
+        for record in &records {
+            encode_into(record, &mut encoded);
+        }
+        assert_eq!(encoded, GOLDEN_SEGMENT, "on-disk format changed");
+        let mut replayed = Vec::new();
+        let summary = scan(&GOLDEN_SEGMENT, |r| replayed.push(format!("{r:?}")));
+        assert_eq!(summary.applied, 5);
+        assert_eq!(summary.quarantined, 0);
+        assert_eq!(summary.torn_bytes, 0);
+        assert!(summary.sealed);
+        let expected: Vec<String> = records.iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(replayed, expected);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! counterpart of [`ALL_RULES`].
 
 use crate::engine::{FileContext, Finding};
-use crate::lexer::Token;
+use crate::lexer::{Token, TokenKind};
 
 /// A registered rule: stable name, one-line description, check function.
 #[derive(Clone, Copy)]
@@ -105,6 +105,12 @@ pub const ALL_RULES: &[Rule] = &[
         name: "atomic-ordering",
         description: "an `Ordering::*` site without an `// ordering:` justification comment",
         check: atomic_ordering,
+    },
+    Rule {
+        name: "fixed-temp-dir",
+        description: "`temp_dir().join(\"literal\")` in test code: parallel or concurrent runs \
+                      share (and delete) each other's files; add the pid and test name",
+        check: fixed_temp_dir,
     },
     Rule {
         name: "lock-order",
@@ -457,6 +463,41 @@ fn atomic_ordering(ctx: &FileContext<'_>) -> Vec<Finding> {
                  comment on this line or the contiguous block above: say why \
                  this ordering is sufficient (what it publishes/acquires, or \
                  why Relaxed can't lose anything)"
+            ),
+        ));
+    }
+    out
+}
+
+fn fixed_temp_dir(ctx: &FileContext<'_>) -> Vec<Finding> {
+    use crate::engine::FileKind;
+    let whole_file_is_test = matches!(ctx.kind, FileKind::Test);
+    let mut out = Vec::new();
+    for c in 0..ctx.code.len() {
+        let site = is_ident(ctx, c, "temp_dir")
+            && is_punct(ctx, c + 1, b'(')
+            && is_punct(ctx, c + 2, b')')
+            && is_punct(ctx, c + 3, b'.')
+            && is_ident(ctx, c + 4, "join")
+            && is_punct(ctx, c + 5, b'(')
+            && tok(ctx, c + 6)
+                .is_some_and(|t| matches!(t.kind, TokenKind::Str | TokenKind::RawStr))
+            && is_punct(ctx, c + 7, b')');
+        if !site {
+            continue;
+        }
+        let t = tok(ctx, c).expect("index in range");
+        if !(whole_file_is_test || ctx.in_test_region(t.start)) {
+            continue;
+        }
+        let name = tok(ctx, c + 6).expect("site matched").text(ctx.src);
+        out.push(ctx.finding(
+            "fixed-temp-dir",
+            t.start,
+            format!(
+                "test scratch dir `temp_dir().join({name})` is shared by every run: \
+                 parallel tests and concurrent suites clobber it; name it after the \
+                 pid and the test, e.g. format!(\"...-{{}}-{{test}}\", std::process::id())"
             ),
         ));
     }

@@ -336,6 +336,33 @@ fn atomic_ordering_only_matches_memory_orderings() {
     );
 }
 
+// -- fixed-temp-dir ---------------------------------------------------------
+
+#[test]
+fn fixed_temp_dir_fires_on_literal_names_in_test_code() {
+    let fixed =
+        "#[test]\nfn t() {\n    let dir = std::env::temp_dir().join(\"camp-fixture\");\n}\n";
+    assert_fires("fixed-temp-dir", TEST, fixed);
+    assert_suppressible(TEST, fixed);
+    let in_lib_tests = "#[cfg(test)]\nmod tests {\n    fn t() {\n        let d = env::temp_dir().join(r\"camp-fixture\");\n    }\n}\n";
+    assert_fires("fixed-temp-dir", KVS_LIB, in_lib_tests);
+}
+
+#[test]
+fn fixed_temp_dir_accepts_per_run_names_and_non_test_code() {
+    // A pid + test-name directory is the sanctioned shape.
+    assert_clean(
+        TEST,
+        "#[test]\nfn t() {\n    let dir = std::env::temp_dir().join(format!(\"camp-{}-t\", std::process::id()));\n}\n",
+    );
+    // Outside test code a fixed name is a user-visible choice, not a race
+    // between test threads.
+    assert_clean(
+        "examples/fixture.rs",
+        "fn main() {\n    let path = std::env::temp_dir().join(\"camp-pipeline.trace\");\n}\n",
+    );
+}
+
 // -- lock-order -------------------------------------------------------------
 
 /// Lints `specs` as one multi-file workspace and keeps only the
@@ -462,7 +489,7 @@ fn same_line_and_own_line_allow_both_work() {
 #[test]
 fn every_registered_rule_has_a_firing_fixture() {
     // The per-rule tests above must collectively cover ALL_RULES; this
-    // meta-check fails if a ninth rule is added without a fixture.
+    // meta-check fails if a new rule is added without a fixture.
     let covered = [
         "unsafe-outside-signals",
         "raw-mutex-lock",
@@ -473,6 +500,7 @@ fn every_registered_rule_has_a_firing_fixture() {
         "leftover-debug",
         "missing-deny-header",
         "atomic-ordering",
+        "fixed-temp-dir",
         "lock-order",
     ];
     for rule in ALL_RULES {

@@ -428,14 +428,17 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("camp-trace-test");
+        let dir = std::env::temp_dir().join(format!(
+            "camp-trace-test-{}-file_roundtrip",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.trace");
         let trace = sample_trace();
         trace.save(&path).unwrap();
         let loaded = Trace::load(&path).unwrap();
         assert_eq!(loaded, trace);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

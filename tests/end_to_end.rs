@@ -155,12 +155,15 @@ fn trace_files_roundtrip_through_the_simulator() {
     // Write a trace to disk, read it back, and get identical simulation
     // results — the reproducibility path users of trace files rely on.
     let trace = BgConfig::paper_scaled(1_000, 20_000, 9).generate();
-    let dir = std::env::temp_dir().join("camp-e2e");
+    let dir = std::env::temp_dir().join(format!(
+        "camp-e2e-{}-trace_files_roundtrip",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("e2e.trace");
     trace.save(&path).unwrap();
     let reloaded = camp::workload::Trace::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
     let cap = camp::sim::capacity_for_ratio(&trace.stats(), 0.2);
     let mut a: Camp<u64, ()> = Camp::new(cap, Precision::Bits(5));
