@@ -1207,34 +1207,86 @@ mod tests {
     use super::*;
     use camp_policies::PolicyStats;
 
-    fn sample_report() -> TelemetryReport {
-        let histogram = Histogram::new();
-        for v in [10u64, 20, 3000] {
-            histogram.record(v);
+    fn histogram(values: &[u64]) -> HistogramSnapshot {
+        let h = Histogram::new();
+        for &v in values {
+            h.record(v);
         }
+        h.snapshot()
+    }
+
+    fn shard_stats(base: u64) -> StoreStats {
+        StoreStats {
+            get_hits: base + 5,
+            get_misses: base + 2,
+            sets: base + 7,
+            deletes: base + 1,
+            evictions: base + 3,
+            slab_evictions: base + 1,
+            slab_reassignments: base,
+            slab_reclaims: base + 2,
+            expired: base + 4,
+        }
+    }
+
+    /// Every surface populated: two shards (the second with a gauge the
+    /// first lacks), two reactor workers, two populated slab classes and
+    /// one empty one, two latency classes, two shadow scales, persistence
+    /// on and the slow log armed.
+    fn sample_report() -> TelemetryReport {
         let mut policy_stats = PolicyStats::default();
         policy_stats.push("l_value", 17);
         policy_stats.push("queue_count", 3);
         policy_stats.push("heap_visits", 44);
         policy_stats.push_labelled("queue_len", "ratio", "8", 2);
+        let mut second_policy_stats = PolicyStats::default();
+        second_policy_stats.push("l_value", 9);
+        second_policy_stats.push("queue_count", 2);
+        second_policy_stats.push("heap_visits", 10);
+        second_policy_stats.push_labelled("queue_len", "ratio", "8", 1);
+        second_policy_stats.push_labelled("queue_len", "ratio", "16", 1);
+        second_policy_stats.push("ratio_multiplier", 4);
+        let (first, second) = (shard_stats(0), shard_stats(10));
+        let mut totals = first;
+        totals.get_hits += second.get_hits;
+        totals.get_misses += second.get_misses;
+        totals.sets += second.sets;
+        totals.deletes += second.deletes;
+        totals.evictions += second.evictions;
+        totals.slab_evictions += second.slab_evictions;
+        totals.slab_reassignments += second.slab_reassignments;
+        totals.slab_reclaims += second.slab_reclaims;
+        totals.expired += second.expired;
         TelemetryReport {
             version: "test",
             policy: "camp(p=5)".to_owned(),
-            shards: vec![ShardSnapshot {
-                stats: StoreStats::default(),
-                items: 2,
-                used_bytes: 128,
-                policy: "camp(p=5)".to_owned(),
-                policy_stats,
-            }],
-            totals: StoreStats::default(),
-            curr_items: 2,
-            slab_census: vec![(120, 1, 2)],
-            latencies: vec![("get", histogram.snapshot())],
+            shards: vec![
+                ShardSnapshot {
+                    stats: first,
+                    items: 2,
+                    used_bytes: 128,
+                    policy: "camp(p=5)".to_owned(),
+                    policy_stats,
+                },
+                ShardSnapshot {
+                    stats: second,
+                    items: 3,
+                    used_bytes: 384,
+                    policy: "camp(p=5)".to_owned(),
+                    policy_stats: second_policy_stats,
+                },
+            ],
+            totals,
+            curr_items: 5,
+            slab_census: vec![(120, 1, 2), (240, 0, 0), (480, 2, 3)],
+            latencies: vec![
+                ("get", histogram(&[10, 20, 3000])),
+                ("set", histogram(&[40, 50])),
+            ],
             bytes_read: vec![("get", 640), ("set", 1280)],
-            connections_opened: 1,
-            connections_closed: 0,
-            protocol_errors: 0,
+            connections_opened: 3,
+            connections_closed: 1,
+            protocol_errors: 2,
             conn_rejected: vec![
                 ("max_conns", 4),
                 ("idle_timeout", 1),
@@ -1244,41 +1296,51 @@ mod tests {
             lock_poison_recovered: 1,
             iq_miss_registry_size: 5,
             iq_sweep_reclaimed: 2,
-            shadow: vec![ShadowEstimate {
-                scale: (1, 2),
-                capacity: 512,
-                sampled_gets: 40,
-                sampled_hits: 30,
-                hit_ratio: 0.75,
-                est_miss_cost: 640,
-            }],
+            shadow: vec![
+                ShadowEstimate {
+                    scale: (1, 2),
+                    capacity: 512,
+                    sampled_gets: 40,
+                    sampled_hits: 30,
+                    hit_ratio: 0.75,
+                    est_miss_cost: 640,
+                },
+                ShadowEstimate {
+                    scale: (2, 1),
+                    capacity: 2048,
+                    sampled_gets: 40,
+                    sampled_hits: 36,
+                    hit_ratio: 0.9,
+                    est_miss_cost: 256,
+                },
+            ],
             shadow_sample_modulus: 64,
             spans_recorded: 11,
             slow_recorded: 2,
             slow_threshold_us: Some(500),
             trace_admits: 9,
             trace_evicts: 4,
-            eviction_costs: {
-                let h = Histogram::new();
-                h.record(8);
-                h.record(16);
-                h.snapshot()
-            },
-            l_values: Histogram::new().snapshot(),
-            reactor_workers: vec![WorkerStatsSnapshot {
-                live_connections: 3,
-                epoll_wakeups: 100,
-                timer_fires: 6,
-                write_pauses: 1,
-                accepts: 12,
-                events_dispatched: 150,
-            }],
-            flush_segments: {
-                let h = Histogram::new();
-                h.record(1);
-                h.record(4);
-                h.snapshot()
-            },
+            eviction_costs: histogram(&[8, 16]),
+            l_values: histogram(&[3, 5, 7]),
+            reactor_workers: vec![
+                WorkerStatsSnapshot {
+                    live_connections: 3,
+                    epoll_wakeups: 100,
+                    timer_fires: 6,
+                    write_pauses: 1,
+                    accepts: 12,
+                    events_dispatched: 150,
+                },
+                WorkerStatsSnapshot {
+                    live_connections: 1,
+                    epoll_wakeups: 70,
+                    timer_fires: 5,
+                    write_pauses: 0,
+                    accepts: 8,
+                    events_dispatched: 90,
+                },
+            ],
+            flush_segments: histogram(&[1, 4]),
             persist: Some(PersistSnapshot {
                 state: "active",
                 errors: 1,
@@ -1294,6 +1356,126 @@ mod tests {
                 rearms: 1,
                 segments: 2,
             }),
+        }
+    }
+
+    /// The twin of [`sample_report`] on a server without `--data-dir` and
+    /// without a slow-log threshold.
+    fn sample_report_without_persist() -> TelemetryReport {
+        TelemetryReport {
+            persist: None,
+            slow_threshold_us: None,
+            ..sample_report()
+        }
+    }
+
+    /// The two golden reports with the surfaces rendered from them when
+    /// the renderers were first pinned: `(report, summary, detail,
+    /// profile, prometheus)`.
+    fn golden() -> [(TelemetryReport, [&'static str; 4]); 2] {
+        [
+            (
+                sample_report(),
+                [
+                    include_str!("../testdata/metrics/full_summary.txt"),
+                    include_str!("../testdata/metrics/full_detail.txt"),
+                    include_str!("../testdata/metrics/full_profile.txt"),
+                    include_str!("../testdata/metrics/full_prometheus.txt"),
+                ],
+            ),
+            (
+                sample_report_without_persist(),
+                [
+                    include_str!("../testdata/metrics/no_persist_summary.txt"),
+                    include_str!("../testdata/metrics/no_persist_detail.txt"),
+                    include_str!("../testdata/metrics/no_persist_profile.txt"),
+                    include_str!("../testdata/metrics/no_persist_prometheus.txt"),
+                ],
+            ),
+        ]
+    }
+
+    /// Families the golden Prometheus text lacks because their STAT rows
+    /// had no Prometheus twin when it was pinned; the only lines a
+    /// rendering may add.
+    const ADDED_FAMILIES: [&str; 8] = [
+        "camp_connections_closed_total",
+        "camp_persist_recovered_total",
+        "camp_persist_torn_bytes_total",
+        "camp_persist_snapshots_total",
+        "camp_persist_rearms_total",
+        "camp_shadow_sample_modulus",
+        "camp_shadow_capacity_bytes",
+        "camp_shadow_sampled_hits_total",
+    ];
+
+    fn text(lines: &[String]) -> String {
+        lines.iter().map(|line| format!("{line}\n")).collect()
+    }
+
+    /// Splits an exposition into `(family, lines)` blocks, asserting that
+    /// every family opens with `# HELP` then `# TYPE`, that its samples
+    /// follow contiguously, and that no family is declared twice.
+    fn families(exposition: &str) -> Vec<(String, Vec<&str>)> {
+        let mut blocks: Vec<(String, Vec<&str>)> = Vec::new();
+        let mut lines = exposition.lines().peekable();
+        while let Some(line) = lines.next() {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let name = rest.split(' ').next().unwrap_or_default().to_owned();
+                assert!(
+                    blocks.iter().all(|(seen, _)| *seen != name),
+                    "family {name} declared twice"
+                );
+                let kind = lines.next().unwrap_or_default();
+                assert!(
+                    kind.starts_with(&format!("# TYPE {name} ")),
+                    "# HELP {name} not followed by its # TYPE: {kind}"
+                );
+                blocks.push((name, vec![line, kind]));
+                continue;
+            }
+            let (name, block) = blocks
+                .last_mut()
+                .unwrap_or_else(|| panic!("sample before any family: {line}"));
+            let sample = line.split(['{', ' ']).next().unwrap_or_default();
+            let base = sample
+                .strip_suffix("_sum")
+                .or_else(|| sample.strip_suffix("_count"))
+                .unwrap_or(sample);
+            assert!(
+                sample == name.as_str() || base == name.as_str(),
+                "sample {line} outside its family's block (inside {name})"
+            );
+            block.push(line);
+        }
+        blocks
+    }
+
+    #[test]
+    fn stat_surfaces_match_the_golden_fixture() {
+        for (report, [summary, detail, profile, _]) in golden() {
+            assert_eq!(text(&report.summary_lines()), summary);
+            assert_eq!(text(&report.detail_lines()), detail);
+            assert_eq!(text(&report.profile_lines()), profile);
+        }
+    }
+
+    #[test]
+    fn prometheus_keeps_every_golden_line() {
+        for (report, [_, _, _, golden]) in golden() {
+            let rendered = report.render_prometheus();
+            let lines: std::collections::HashSet<&str> = rendered.lines().collect();
+            for line in golden.lines() {
+                assert!(lines.contains(line), "lost {line} in:\n{rendered}");
+            }
+            let golden_lines: std::collections::HashSet<&str> = golden.lines().collect();
+            for (family, block) in families(&rendered) {
+                if !ADDED_FAMILIES.contains(&family.as_str()) {
+                    for line in block {
+                        assert!(golden_lines.contains(line), "unexpected {line}");
+                    }
+                }
+            }
         }
     }
 
@@ -1420,7 +1602,7 @@ mod tests {
             "camp_policy_queue_len{shard=\"0\",ratio=\"8\"} 2",
             "camp_evictions_total{cause=\"capacity\"}",
             "camp_iq_miss_registry_size 5",
-            "camp_build_info{version=\"test\",policy=\"camp(p=5)\",shards=\"1\"} 1",
+            "camp_build_info{version=\"test\",policy=\"camp(p=5)\",shards=\"2\"} 1",
             "camp_slab_class_items{chunk_size=\"120\"} 2",
             "camp_bytes_read_total{cmd=\"get\"} 640",
             "camp_bytes_read_total{cmd=\"set\"} 1280",
