@@ -1,6 +1,6 @@
 //! The server's telemetry surface: per-command latency histograms and the
-//! snapshot/rendering layer behind `stats`, `stats detail`, and the
-//! `--metrics-addr` Prometheus exposition.
+//! snapshot/rendering layer behind `stats`, `stats detail`, `stats
+//! profile` and the `--metrics-addr` Prometheus exposition.
 //!
 //! Recording sits on the per-request hot path, so [`ServerMetrics`] is
 //! atomics all the way down: each command's latency goes into a lock-free
@@ -8,8 +8,11 @@
 //! mutex is taken that the seed server did not already take. Reading is the
 //! cold path: [`TelemetryReport`] gathers a point-in-time copy of
 //! everything (store counters, per-shard rows, policy internals, IQ
-//! registry gauges) and renders it as either memcached `STAT` lines or
-//! Prometheus text, so both protocols speak one vocabulary.
+//! registry gauges) and renders it through one table of metric
+//! descriptors, `METRICS`, in which each metric names its STAT row, its
+//! Prometheus family, help text, type and reader once. Two walkers over
+//! that table produce the `STAT` lines and the Prometheus text, so both
+//! protocols speak one vocabulary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,28 +23,31 @@ use camp_telemetry::{
 };
 
 use crate::persist::PersistSnapshot;
+use crate::protocol::StatsScope;
 use crate::shard::ShardSnapshot;
 use crate::store::StoreStats;
 
-/// The command classes that get their own latency histogram.
+/// The command classes that get their own latency histogram. The
+/// discriminant indexes the per-class counters and stamps request spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum CmdKind {
     /// `get`/`gets`.
-    Get,
+    Get = 0,
     /// `iqget`.
-    IqGet,
+    IqGet = 1,
     /// `set`/`add`/`replace`.
-    Set,
+    Set = 2,
     /// `iqset`.
-    IqSet,
+    IqSet = 3,
     /// `delete`.
-    Delete,
+    Delete = 4,
     /// Everything else (`incr`, `touch`, `flush_all`, `stats`, ...).
-    Other,
+    Other = 5,
 }
 
 impl CmdKind {
-    /// Every kind, in display order.
+    /// Every kind, in discriminant (and display) order.
     pub const ALL: [CmdKind; 6] = [
         CmdKind::Get,
         CmdKind::IqGet,
@@ -69,7 +75,7 @@ impl CmdKind {
     /// flight recorder (which stores fixed-width words, not enums).
     #[must_use]
     pub fn code(self) -> u8 {
-        CmdKind::ALL.iter().position(|&k| k == self).unwrap_or(5) as u8
+        self as u8
     }
 
     /// Inverse of [`CmdKind::code`]; unknown bytes decode as `Other`.
@@ -85,19 +91,21 @@ impl CmdKind {
 /// Why the server refused or severed a connection (the overload /
 /// input-hardening surface). Each cause has its own counter, exported as
 /// `camp_conn_rejected_total{cause=...}` and `STAT conn_rejected:<cause>`.
+/// The discriminant indexes the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum RejectCause {
     /// Accept-time rejection: the `max_conns` cap was reached.
-    MaxConns,
+    MaxConns = 0,
     /// A connection idle (or trickling without completing a command —
     /// slowloris) past the idle timeout was evicted.
-    IdleTimeout,
+    IdleTimeout = 1,
     /// A storage command declared a data block over `max_value_len`.
-    ValueTooLarge,
+    ValueTooLarge = 2,
 }
 
 impl RejectCause {
-    /// Every cause, in display order.
+    /// Every cause, in discriminant (and display) order.
     pub const ALL: [RejectCause; 3] = [
         RejectCause::MaxConns,
         RejectCause::IdleTimeout,
@@ -116,19 +124,21 @@ impl RejectCause {
 }
 
 /// Which fault a chaos plan injected (see [`crate::fault`]), exported as
-/// `camp_faults_injected_total{kind=...}`.
+/// `camp_faults_injected_total{kind=...}`. The discriminant indexes the
+/// counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FaultKind {
     /// Pre-response connection drop.
-    Drop,
+    Drop = 0,
     /// Injected response delay.
-    Delay,
+    Delay = 1,
     /// Forced `SERVER_ERROR injected fault` reply.
-    Error,
+    Error = 2,
 }
 
 impl FaultKind {
-    /// Every kind, in display order.
+    /// Every kind, in discriminant (and display) order.
     pub const ALL: [FaultKind; 3] = [FaultKind::Drop, FaultKind::Delay, FaultKind::Error];
 
     /// The label value used in STAT lines and the Prometheus exposition.
@@ -145,16 +155,14 @@ impl FaultKind {
 /// Lock-free server-side counters and latency histograms.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    latency: [Histogram; 6],
+    latency: [Histogram; CmdKind::ALL.len()],
     /// Wire bytes consumed per command class (command line plus any data
     /// block, terminators included).
-    bytes_read: [AtomicU64; 6],
-    /// Connections refused or severed, by cause ([`RejectCause::ALL`]
-    /// order).
-    rejected: [AtomicU64; 3],
-    /// Faults injected by the active chaos plan ([`FaultKind::ALL`]
-    /// order).
-    faults: [AtomicU64; 3],
+    bytes_read: [AtomicU64; CmdKind::ALL.len()],
+    /// Connections refused or severed, indexed by [`RejectCause`].
+    rejected: [AtomicU64; RejectCause::ALL.len()],
+    /// Faults injected by the active chaos plan, indexed by [`FaultKind`].
+    faults: [AtomicU64; FaultKind::ALL.len()],
     /// Connections accepted.
     pub connections_opened: AtomicU64,
     /// Connections that have ended.
@@ -173,32 +181,28 @@ impl ServerMetrics {
         ServerMetrics::default()
     }
 
-    fn index(kind: CmdKind) -> usize {
-        CmdKind::ALL.iter().position(|&k| k == kind).unwrap_or(5)
-    }
-
     /// Records one command's handling latency in microseconds. Wait-free.
     pub fn record_latency(&self, kind: CmdKind, micros: u64) {
-        self.latency[Self::index(kind)].record(micros);
+        self.latency[kind as usize].record(micros);
     }
 
     /// The histogram backing `kind` (snapshots, merges, tests).
     #[must_use]
     pub fn latency(&self, kind: CmdKind) -> &Histogram {
-        &self.latency[Self::index(kind)]
+        &self.latency[kind as usize]
     }
 
     /// Adds wire bytes consumed by one command of class `kind`. Wait-free.
     pub fn record_bytes(&self, kind: CmdKind, bytes: u64) {
         // ordering: Relaxed — statistics counter.
-        self.bytes_read[Self::index(kind)].fetch_add(bytes, Ordering::Relaxed);
+        self.bytes_read[kind as usize].fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Wire bytes consumed so far by commands of class `kind`.
     #[must_use]
     pub fn bytes_read(&self, kind: CmdKind) -> u64 {
         // ordering: Relaxed — statistics counter.
-        self.bytes_read[Self::index(kind)].load(Ordering::Relaxed)
+        self.bytes_read[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Per-command byte counters, in [`CmdKind::ALL`] order.
@@ -212,23 +216,15 @@ impl ServerMetrics {
 
     /// Counts one refused or severed connection.
     pub fn record_rejected(&self, cause: RejectCause) {
-        let index = RejectCause::ALL
-            .iter()
-            .position(|&c| c == cause)
-            .unwrap_or(0);
         // ordering: Relaxed — statistics counter.
-        self.rejected[index].fetch_add(1, Ordering::Relaxed);
+        self.rejected[cause as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Connections refused or severed for `cause` so far.
     #[must_use]
     pub fn rejected(&self, cause: RejectCause) -> u64 {
-        let index = RejectCause::ALL
-            .iter()
-            .position(|&c| c == cause)
-            .unwrap_or(0);
         // ordering: Relaxed — statistics counter.
-        self.rejected[index].load(Ordering::Relaxed)
+        self.rejected[cause as usize].load(Ordering::Relaxed)
     }
 
     /// Per-cause rejection counters, in [`RejectCause::ALL`] order.
@@ -242,9 +238,8 @@ impl ServerMetrics {
 
     /// Counts one injected fault.
     pub fn record_fault(&self, kind: FaultKind) {
-        let index = FaultKind::ALL.iter().position(|&k| k == kind).unwrap_or(0);
         // ordering: Relaxed — statistics counter.
-        self.faults[index].fetch_add(1, Ordering::Relaxed);
+        self.faults[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Per-kind injected-fault counters, in [`FaultKind::ALL`] order.
@@ -501,706 +496,700 @@ impl TelemetryReport {
         self.shards.iter().map(|s| s.used_bytes).sum()
     }
 
-    /// The `stats` summary table (the seed's surface plus the per-shard
-    /// breakdown and eviction causes).
+    /// The `STAT` rows of one `stats` listing: `Summary` for bare `stats`,
+    /// `Profile` for `stats profile`, and every row for `Detail` (`stats
+    /// detail`). `Reset` lists nothing.
     #[must_use]
-    pub fn summary_lines(&self) -> Vec<String> {
+    pub fn stat_lines(&self, scope: StatsScope) -> Vec<String> {
         let mut lines = Vec::new();
-        lines.push(format!("STAT policy {}", self.policy));
-        lines.push(format!("STAT shards {}", self.shards.len()));
-        for (i, shard) in self.shards.iter().enumerate() {
-            lines.push(format!("STAT shard:{i}:policy {}", shard.policy));
-        }
-        lines.push(format!("STAT curr_items {}", self.curr_items));
-        lines.push(format!("STAT bytes {}", self.used_bytes()));
-        let t = &self.totals;
-        lines.push(format!("STAT get_hits {}", t.get_hits));
-        lines.push(format!("STAT get_misses {}", t.get_misses));
-        lines.push(format!("STAT cmd_set {}", t.sets));
-        lines.push(format!("STAT evictions {}", t.evictions));
-        lines.push(format!("STAT slab_evictions {}", t.slab_evictions));
-        lines.push(format!("STAT slab_reassignments {}", t.slab_reassignments));
-        lines.push(format!("STAT slab_reclaims {}", t.slab_reclaims));
-        lines.push(format!("STAT expired {}", t.expired));
-        for (i, shard) in self.shards.iter().enumerate() {
-            let s = &shard.stats;
-            lines.push(format!(
-                "STAT shard:{i} items={} bytes={} hits={} misses={} evictions={}",
-                shard.items,
-                shard.used_bytes,
-                s.get_hits,
-                s.get_misses,
-                s.evictions + s.slab_evictions,
-            ));
-        }
-        for &(chunk_size, slabs, items) in &self.slab_census {
-            if slabs > 0 {
-                lines.push(format!(
-                    "STAT slab_class:{chunk_size} slabs={slabs} items={items}"
-                ));
-            }
-        }
-        lines
-    }
-
-    /// The `stats detail` table: the summary plus latency quantiles per
-    /// command, eviction causes, per-shard policy internals, connection
-    /// counters, and the IQ registry gauges.
-    #[must_use]
-    pub fn detail_lines(&self) -> Vec<String> {
-        let mut lines = self.summary_lines();
-        lines.push(format!("STAT deletes {}", self.totals.deletes));
-        lines.push(format!("STAT evictions:capacity {}", self.totals.evictions));
-        lines.push(format!(
-            "STAT evictions:slab_reassign {}",
-            self.totals.slab_evictions
-        ));
-        lines.push(format!("STAT evictions:expired {}", self.totals.expired));
-        for (command, snap) in &self.latencies {
-            lines.push(format!("STAT latency:{command}:count {}", snap.count));
-            lines.push(format!(
-                "STAT latency:{command}:p50_us {}",
-                snap.quantile(0.5)
-            ));
-            lines.push(format!(
-                "STAT latency:{command}:p90_us {}",
-                snap.quantile(0.9)
-            ));
-            lines.push(format!(
-                "STAT latency:{command}:p99_us {}",
-                snap.quantile(0.99)
-            ));
-            lines.push(format!(
-                "STAT latency:{command}:p999_us {}",
-                snap.quantile(0.999)
-            ));
-            lines.push(format!("STAT latency:{command}:max_us {}", snap.max));
-        }
-        for (command, bytes) in &self.bytes_read {
-            lines.push(format!("STAT bytes_read:{command} {bytes}"));
-        }
-        for (i, shard) in self.shards.iter().enumerate() {
-            for gauge in &shard.policy_stats.gauges {
-                match &gauge.label {
-                    Some((_, label_value)) => lines.push(format!(
-                        "STAT policy:{i}:{}:{label_value} {}",
-                        gauge.name, gauge.value
-                    )),
-                    None => {
-                        lines.push(format!("STAT policy:{i}:{} {}", gauge.name, gauge.value));
-                    }
-                }
-            }
-        }
-        lines.push(format!(
-            "STAT connections_opened {}",
-            self.connections_opened
-        ));
-        lines.push(format!(
-            "STAT connections_closed {}",
-            self.connections_closed
-        ));
-        lines.push(format!("STAT protocol_errors {}", self.protocol_errors));
-        for (cause, count) in &self.conn_rejected {
-            lines.push(format!("STAT conn_rejected:{cause} {count}"));
-        }
-        for (kind, count) in &self.faults_injected {
-            lines.push(format!("STAT faults_injected:{kind} {count}"));
-        }
-        lines.push(format!(
-            "STAT lock_poison_recovered {}",
-            self.lock_poison_recovered
-        ));
-        lines.push(format!(
-            "STAT iq_miss_registry_size {}",
-            self.iq_miss_registry_size
-        ));
-        lines.push(format!(
-            "STAT iq_sweep_reclaimed {}",
-            self.iq_sweep_reclaimed
-        ));
-        for (i, w) in self.reactor_workers.iter().enumerate() {
-            lines.push(format!(
-                "STAT reactor:worker{i} live={} wakeups={} timer_fires={} write_pauses={} \
-                 accepts={} events={}",
-                w.live_connections,
-                w.epoll_wakeups,
-                w.timer_fires,
-                w.write_pauses,
-                w.accepts,
-                w.events_dispatched,
-            ));
-        }
-        lines.push(format!(
-            "STAT reactor:flush_segments:count {}",
-            self.flush_segments.count
-        ));
-        lines.push(format!(
-            "STAT reactor:flush_segments:p50 {}",
-            self.flush_segments.quantile(0.5)
-        ));
-        lines.push(format!(
-            "STAT reactor:flush_segments:max {}",
-            self.flush_segments.max
-        ));
-        lines.push(format!("STAT trace:spans_recorded {}", self.spans_recorded));
-        lines.push(format!("STAT trace:slow_recorded {}", self.slow_recorded));
-        lines.push(format!(
-            "STAT trace:slow_threshold_us {}",
-            self.slow_threshold_us
-                .map_or_else(|| "disabled".to_owned(), |us| us.to_string())
-        ));
-        lines.push(format!("STAT trace:admits {}", self.trace_admits));
-        lines.push(format!("STAT trace:evictions {}", self.trace_evicts));
-        lines.push(format!(
-            "STAT trace:eviction_cost_p50 {}",
-            self.eviction_costs.quantile(0.5)
-        ));
-        lines.push(format!(
-            "STAT trace:l_value_p50 {}",
-            self.l_values.quantile(0.5)
-        ));
-        match &self.persist {
-            None => lines.push("STAT persist:state disabled".to_owned()),
-            Some(p) => {
-                lines.push(format!("STAT persist:state {}", p.state));
-                lines.push(format!("STAT persist:errors {}", p.errors));
-                lines.push(format!("STAT persist:bytes {}", p.bytes));
-                lines.push(format!("STAT persist:fsyncs {}", p.fsyncs));
-                lines.push(format!("STAT persist:records {}", p.records));
-                lines.push(format!("STAT persist:dropped {}", p.dropped));
-                lines.push(format!("STAT persist:recovered {}", p.recovered));
-                lines.push(format!("STAT persist:quarantined {}", p.quarantined));
-                lines.push(format!("STAT persist:torn_bytes {}", p.torn_bytes));
-                lines.push(format!("STAT persist:snapshots {}", p.snapshots));
-                lines.push(format!("STAT persist:trips {}", p.trips));
-                lines.push(format!("STAT persist:rearms {}", p.rearms));
-                lines.push(format!("STAT persist:segments {}", p.segments));
-            }
-        }
-        lines.extend(self.profile_lines());
-        lines
-    }
-
-    /// The `stats profile` table: the online shadow profiler's hit-ratio
-    /// and cost-miss estimates at fractional capacities.
-    #[must_use]
-    pub fn profile_lines(&self) -> Vec<String> {
-        let mut lines = Vec::new();
-        lines.push(format!(
-            "STAT profile:sample_modulus {}",
-            self.shadow_sample_modulus
-        ));
-        for est in &self.shadow {
-            let scale = est.scale_label();
-            lines.push(format!("STAT profile:{scale}:capacity {}", est.capacity));
-            lines.push(format!(
-                "STAT profile:{scale}:sampled_gets {}",
-                est.sampled_gets
-            ));
-            lines.push(format!(
-                "STAT profile:{scale}:sampled_hits {}",
-                est.sampled_hits
-            ));
-            lines.push(format!(
-                "STAT profile:{scale}:hit_ratio {:.4}",
-                est.hit_ratio
-            ));
-            lines.push(format!(
-                "STAT profile:{scale}:est_miss_cost {}",
-                est.est_miss_cost
-            ));
-        }
-        lines
-    }
-
-    /// The Prometheus text exposition served on `--metrics-addr`. Every
-    /// family is emitted even at zero so scrapers and the CI smoke test see
-    /// a stable schema from the first scrape.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        let mut exp = Exposition::new();
-        exp.family(
-            "camp_build_info",
-            "server version and configuration (constant 1)",
-            MetricKind::Gauge,
-        );
-        let shard_count = self.shards.len().to_string();
-        exp.int_value(
-            "camp_build_info",
-            &[
-                ("version", self.version),
-                ("policy", &self.policy),
-                ("shards", &shard_count),
-            ],
-            1,
-        );
-
-        for (command, snap) in &self.latencies {
-            let family = format!("camp_{command}_latency_us");
-            exp.family(
-                &family,
-                "command handling latency in microseconds",
-                MetricKind::Summary,
-            );
-            exp.summary(&family, &[], snap);
-        }
-
-        exp.family(
-            "camp_bytes_read_total",
-            "wire bytes consumed per command class",
-            MetricKind::Counter,
-        );
-        for (command, bytes) in &self.bytes_read {
-            exp.int_value("camp_bytes_read_total", &[("cmd", command)], *bytes);
-        }
-
-        let t = &self.totals;
-        let counters: [(&str, &str, u64); 8] = [
-            ("camp_get_hits_total", "get/iqget hits", t.get_hits),
-            ("camp_get_misses_total", "get/iqget misses", t.get_misses),
-            ("camp_cmd_set_total", "successful stores", t.sets),
-            ("camp_deletes_total", "successful deletes", t.deletes),
-            (
-                "camp_slab_reassignments_total",
-                "random slab evictions forced by calcification",
-                t.slab_reassignments,
-            ),
-            (
-                "camp_slab_reclaims_total",
-                "slabs reclaimed after emptying naturally",
-                t.slab_reclaims,
-            ),
-            (
-                "camp_connections_opened_total",
-                "connections accepted",
-                self.connections_opened,
-            ),
-            (
-                "camp_protocol_errors_total",
-                "lines rejected with CLIENT_ERROR",
-                self.protocol_errors,
-            ),
-        ];
-        for (name, help, value) in counters {
-            exp.family(name, help, MetricKind::Counter);
-            exp.int_value(name, &[], value);
-        }
-
-        exp.family(
-            "camp_conn_rejected_total",
-            "connections refused or severed, by cause",
-            MetricKind::Counter,
-        );
-        for (cause, count) in &self.conn_rejected {
-            exp.int_value("camp_conn_rejected_total", &[("cause", cause)], *count);
-        }
-        exp.family(
-            "camp_faults_injected_total",
-            "chaos faults injected, by kind",
-            MetricKind::Counter,
-        );
-        for (kind, count) in &self.faults_injected {
-            exp.int_value("camp_faults_injected_total", &[("kind", kind)], *count);
-        }
-        exp.family(
-            "camp_lock_poison_recovered_total",
-            "poisoned mutexes recovered after a panicking holder",
-            MetricKind::Counter,
-        );
-        exp.int_value(
-            "camp_lock_poison_recovered_total",
-            &[],
-            self.lock_poison_recovered,
-        );
-
-        exp.family(
-            "camp_evictions_total",
-            "items dropped, by cause",
-            MetricKind::Counter,
-        );
-        exp.int_value(
-            "camp_evictions_total",
-            &[("cause", "capacity")],
-            t.evictions,
-        );
-        exp.int_value(
-            "camp_evictions_total",
-            &[("cause", "slab_reassign")],
-            t.slab_evictions,
-        );
-        exp.int_value("camp_evictions_total", &[("cause", "expired")], t.expired);
-
-        exp.family("camp_items", "live items", MetricKind::Gauge);
-        exp.int_value("camp_items", &[], self.curr_items as u64);
-        exp.family(
-            "camp_used_bytes",
-            "logical bytes resident",
-            MetricKind::Gauge,
-        );
-        exp.int_value("camp_used_bytes", &[], self.used_bytes());
-
-        exp.family(
-            "camp_shard_items",
-            "live items per shard",
-            MetricKind::Gauge,
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            exp.int_value(
-                "camp_shard_items",
-                &[("shard", &i.to_string())],
-                shard.items as u64,
-            );
-        }
-        exp.family(
-            "camp_shard_used_bytes",
-            "logical bytes resident per shard",
-            MetricKind::Gauge,
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            exp.int_value(
-                "camp_shard_used_bytes",
-                &[("shard", &i.to_string())],
-                shard.used_bytes,
-            );
-        }
-        exp.family(
-            "camp_shard_hits_total",
-            "get/iqget hits per shard",
-            MetricKind::Counter,
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            exp.int_value(
-                "camp_shard_hits_total",
-                &[("shard", &i.to_string())],
-                shard.stats.get_hits,
-            );
-        }
-        exp.family(
-            "camp_shard_misses_total",
-            "get/iqget misses per shard",
-            MetricKind::Counter,
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            exp.int_value(
-                "camp_shard_misses_total",
-                &[("shard", &i.to_string())],
-                shard.stats.get_misses,
-            );
-        }
-        exp.family(
-            "camp_shard_evictions_total",
-            "evictions per shard (all causes)",
-            MetricKind::Counter,
-        );
-        for (i, shard) in self.shards.iter().enumerate() {
-            exp.int_value(
-                "camp_shard_evictions_total",
-                &[("shard", &i.to_string())],
-                shard.stats.evictions + shard.stats.slab_evictions,
-            );
-        }
-
-        // Policy-internal gauges: one family per distinct gauge name, in
-        // first-seen order, sampled per shard (plus any sub-dimension label
-        // the gauge carries, e.g. CAMP's per-queue lengths by ratio).
-        let mut names: Vec<&'static str> = Vec::new();
-        for shard in &self.shards {
-            for gauge in &shard.policy_stats.gauges {
-                if !names.contains(&gauge.name) {
-                    names.push(gauge.name);
-                }
-            }
-        }
-        for name in names {
-            let family = format!("camp_policy_{name}");
-            exp.family(&family, "policy-internal gauge", MetricKind::Gauge);
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard_label = i.to_string();
-                for gauge in shard.policy_stats.gauges.iter().filter(|g| g.name == name) {
-                    match &gauge.label {
-                        Some((key, value)) => exp.int_value(
-                            &family,
-                            &[("shard", &shard_label), (key, value)],
-                            gauge.value,
-                        ),
-                        None => {
-                            exp.int_value(&family, &[("shard", &shard_label)], gauge.value);
+        let shown = METRICS
+            .iter()
+            .filter(|s| scope == StatsScope::Detail || s.scope == scope);
+        for section in shown {
+            let series: Vec<(&Metric, Series<'_>)> = section
+                .metrics
+                .iter()
+                .map(|metric| (metric, metric.read.series(self)))
+                .collect();
+            let labels = series.first().map_or(0, |(_, values)| values.len());
+            match section.layout {
+                Layout::Rows => {
+                    for (metric, values) in &series {
+                        for (label, value) in values {
+                            metric.stat_rows(label, value, &mut lines);
                         }
                     }
                 }
+                Layout::ByLabel => {
+                    for at in 0..labels {
+                        for (metric, values) in &series {
+                            if let Some((label, value)) = values.get(at) {
+                                metric.stat_rows(label, value, &mut lines);
+                            }
+                        }
+                    }
+                }
+                Layout::Line(row) => {
+                    for at in 0..labels {
+                        let mut fields = series.iter().filter_map(|(metric, values)| {
+                            let (label, value) = values.get(at)?;
+                            Some((metric.names.stat, label, value.stat_text()?))
+                        });
+                        let Some((key, label, text)) = fields.next() else {
+                            continue;
+                        };
+                        let mut line = format!("STAT {} {key}={text}", row.replace("{}", label));
+                        for (key, _, text) in fields {
+                            line.push_str(&format!(" {key}={text}"));
+                        }
+                        lines.push(line);
+                    }
+                }
             }
         }
+        lines
+    }
 
-        exp.family(
-            "camp_iq_miss_registry_size",
-            "unmatched iqget misses currently registered",
-            MetricKind::Gauge,
-        );
-        exp.int_value(
-            "camp_iq_miss_registry_size",
-            &[],
-            self.iq_miss_registry_size,
-        );
-        exp.family(
-            "camp_iq_sweep_reclaimed_total",
-            "iq miss-registry entries dropped by the TTL sweep",
-            MetricKind::Counter,
-        );
-        exp.int_value(
-            "camp_iq_sweep_reclaimed_total",
-            &[],
-            self.iq_sweep_reclaimed,
-        );
-
-        exp.family(
-            "camp_slab_class_slabs",
-            "slabs assigned per chunk-size class",
-            MetricKind::Gauge,
-        );
-        for &(chunk_size, slabs, _) in &self.slab_census {
-            exp.int_value(
-                "camp_slab_class_slabs",
-                &[("chunk_size", &chunk_size.to_string())],
-                slabs as u64,
-            );
+    /// The Prometheus text exposition served on `--metrics-addr`: every
+    /// descriptor with a family, in table order. Every family is emitted
+    /// even at zero so scrapers and the CI smoke test see a stable schema
+    /// from the first scrape.
+    #[must_use]
+    pub fn render_prometheus(&self) -> String {
+        let mut exp = Exposition::new();
+        let exposed = METRICS
+            .iter()
+            .flat_map(|s| s.metrics)
+            .filter(|m| !m.names.family.is_empty());
+        for metric in exposed {
+            let Names {
+                family, help, kind, ..
+            } = metric.names;
+            match metric.read {
+                // One family per gauge name, in first-seen order, sampled
+                // per shard plus any sub-dimension label the gauge carries
+                // (e.g. CAMP's per-queue lengths by ratio).
+                Read::PolicyGauges => {
+                    let mut names: Vec<&'static str> = Vec::new();
+                    for gauge in self.shards.iter().flat_map(|s| &s.policy_stats.gauges) {
+                        if !names.contains(&gauge.name) {
+                            names.push(gauge.name);
+                        }
+                    }
+                    for name in names {
+                        let family = family.replace("{}", name);
+                        exp.family(&family, help, kind);
+                        for (i, shard) in self.shards.iter().enumerate() {
+                            let shard_label = i.to_string();
+                            for gauge in shard.policy_stats.gauges.iter().filter(|g| g.name == name)
+                            {
+                                let mut labels = vec![("shard", shard_label.as_str())];
+                                if let Some((key, value)) = &gauge.label {
+                                    labels.push((key, value));
+                                }
+                                exp.int_value(&family, &labels, gauge.value);
+                            }
+                        }
+                    }
+                }
+                // The label value fills the family name: one unlabelled
+                // family per value.
+                _ if family.contains("{}") => {
+                    for (label, value) in metric.read.series(self) {
+                        let family = family.replace("{}", &label);
+                        exp.family(&family, help, kind);
+                        value.sample(&mut exp, &family, &[]);
+                    }
+                }
+                _ => {
+                    exp.family(family, help, kind);
+                    let key = metric.read.label();
+                    for (label, value) in metric.read.series(self) {
+                        let labels = [(key, label.as_str())];
+                        value.sample(&mut exp, family, if key.is_empty() { &[] } else { &labels });
+                    }
+                }
+            }
         }
-        exp.family(
-            "camp_slab_class_items",
-            "items resident per chunk-size class",
-            MetricKind::Gauge,
-        );
-        for &(chunk_size, _, items) in &self.slab_census {
-            exp.int_value(
-                "camp_slab_class_items",
-                &[("chunk_size", &chunk_size.to_string())],
-                items,
-            );
-        }
-
-        exp.family(
-            "camp_shadow_hit_ratio",
-            "estimated hit ratio at fractional capacities (sampled shadow caches)",
-            MetricKind::Gauge,
-        );
-        for est in &self.shadow {
-            let scale = est.scale_label();
-            exp.value("camp_shadow_hit_ratio", &[("scale", &scale)], est.hit_ratio);
-        }
-        exp.family(
-            "camp_shadow_est_miss_cost_total",
-            "estimated cumulative miss cost at fractional capacities",
-            MetricKind::Counter,
-        );
-        for est in &self.shadow {
-            let scale = est.scale_label();
-            exp.int_value(
-                "camp_shadow_est_miss_cost_total",
-                &[("scale", &scale)],
-                est.est_miss_cost,
-            );
-        }
-        exp.family(
-            "camp_shadow_sampled_gets_total",
-            "lookups that fell in the shadow profiler's key sample",
-            MetricKind::Counter,
-        );
-        for est in &self.shadow {
-            let scale = est.scale_label();
-            exp.int_value(
-                "camp_shadow_sampled_gets_total",
-                &[("scale", &scale)],
-                est.sampled_gets,
-            );
-        }
-
-        exp.family(
-            "camp_eviction_cost",
-            "miss cost of traced eviction victims",
-            MetricKind::Summary,
-        );
-        exp.summary("camp_eviction_cost", &[], &self.eviction_costs);
-        exp.family(
-            "camp_l_value",
-            "CAMP L term sampled at eviction decisions",
-            MetricKind::Summary,
-        );
-        exp.summary("camp_l_value", &[], &self.l_values);
-
-        let trace_counters: [(&str, &str, u64); 4] = [
-            (
-                "camp_trace_spans_total",
-                "request spans recorded by the flight recorder",
-                self.spans_recorded,
-            ),
-            (
-                "camp_trace_slow_total",
-                "spans promoted to the slow-request log",
-                self.slow_recorded,
-            ),
-            (
-                "camp_trace_admits_total",
-                "policy admissions traced",
-                self.trace_admits,
-            ),
-            (
-                "camp_trace_evictions_total",
-                "policy evictions traced",
-                self.trace_evicts,
-            ),
-        ];
-        for (name, help, value) in trace_counters {
-            exp.family(name, help, MetricKind::Counter);
-            exp.int_value(name, &[], value);
-        }
-
-        exp.family(
-            "camp_reactor_live_connections",
-            "connections currently owned per reactor worker",
-            MetricKind::Gauge,
-        );
-        for (i, w) in self.reactor_workers.iter().enumerate() {
-            exp.int_value(
-                "camp_reactor_live_connections",
-                &[("worker", &i.to_string())],
-                w.live_connections,
-            );
-        }
-        exp.family(
-            "camp_reactor_epoll_wakeups_total",
-            "epoll_wait returns that delivered events, per worker",
-            MetricKind::Counter,
-        );
-        for (i, w) in self.reactor_workers.iter().enumerate() {
-            exp.int_value(
-                "camp_reactor_epoll_wakeups_total",
-                &[("worker", &i.to_string())],
-                w.epoll_wakeups,
-            );
-        }
-        exp.family(
-            "camp_reactor_timer_fires_total",
-            "timer-wheel timers fired, per worker",
-            MetricKind::Counter,
-        );
-        for (i, w) in self.reactor_workers.iter().enumerate() {
-            exp.int_value(
-                "camp_reactor_timer_fires_total",
-                &[("worker", &i.to_string())],
-                w.timer_fires,
-            );
-        }
-        exp.family(
-            "camp_reactor_write_pauses_total",
-            "reads paused by output backpressure, per worker",
-            MetricKind::Counter,
-        );
-        for (i, w) in self.reactor_workers.iter().enumerate() {
-            exp.int_value(
-                "camp_reactor_write_pauses_total",
-                &[("worker", &i.to_string())],
-                w.write_pauses,
-            );
-        }
-        exp.family(
-            "camp_reactor_accepts_total",
-            "sockets accepted by each worker's own SO_REUSEPORT listener",
-            MetricKind::Counter,
-        );
-        for (i, w) in self.reactor_workers.iter().enumerate() {
-            exp.int_value(
-                "camp_reactor_accepts_total",
-                &[("worker", &i.to_string())],
-                w.accepts,
-            );
-        }
-        exp.family(
-            "camp_reactor_events_dispatched_total",
-            "connection events drained into the batched run queue, per worker",
-            MetricKind::Counter,
-        );
-        for (i, w) in self.reactor_workers.iter().enumerate() {
-            exp.int_value(
-                "camp_reactor_events_dispatched_total",
-                &[("worker", &i.to_string())],
-                w.events_dispatched,
-            );
-        }
-        exp.family(
-            "camp_reactor_flush_writev_segments",
-            "segments batched per scatter-gather (writev) flush call",
-            MetricKind::Summary,
-        );
-        exp.summary(
-            "camp_reactor_flush_writev_segments",
-            &[],
-            &self.flush_segments,
-        );
-
-        // Durability families are emitted even with persistence disabled so
-        // the schema is stable; `camp_persist_state` disambiguates.
-        exp.family(
-            "camp_persist_state",
-            "durability engine state (0=disabled, 1=active, 2=degraded)",
-            MetricKind::Gauge,
-        );
-        let state_code = match self.persist.as_ref().map(|p| p.state) {
-            None => 0,
-            Some("degraded") => 2,
-            Some(_) => 1,
-        };
-        exp.int_value("camp_persist_state", &[], state_code);
-        let p = self.persist.clone().unwrap_or_default();
-        let persist_counters: [(&str, &str, u64); 7] = [
-            (
-                "camp_persist_errors_total",
-                "append-log I/O errors (append, fsync, repair)",
-                p.errors,
-            ),
-            (
-                "camp_persist_bytes_total",
-                "bytes appended to the durability log",
-                p.bytes,
-            ),
-            (
-                "camp_persist_fsyncs_total",
-                "successful fsyncs of the active segment",
-                p.fsyncs,
-            ),
-            (
-                "camp_persist_records_total",
-                "records appended to the durability log",
-                p.records,
-            ),
-            (
-                "camp_persist_dropped_total",
-                "mutations not persisted while degraded",
-                p.dropped,
-            ),
-            (
-                "camp_persist_quarantined_total",
-                "corrupt records skipped by boot-time recovery",
-                p.quarantined,
-            ),
-            (
-                "camp_persist_trips_total",
-                "active-to-degraded transitions of the durability engine",
-                p.trips,
-            ),
-        ];
-        for (name, help, value) in persist_counters {
-            exp.family(name, help, MetricKind::Counter);
-            exp.int_value(name, &[], value);
-        }
-        exp.family(
-            "camp_persist_segments",
-            "segment files currently in the durability log",
-            MetricKind::Gauge,
-        );
-        exp.int_value("camp_persist_segments", &[], p.segments);
         exp.render()
     }
 }
+
+/// One value read from a [`TelemetryReport`].
+#[derive(Debug)]
+enum Value<'a> {
+    /// A counter or gauge reading.
+    Int(u64),
+    /// A ratio: four decimals on STAT, shortest round-trip form on
+    /// Prometheus.
+    Ratio(f64),
+    /// Free text, shown on STAT only.
+    Text(String),
+    /// A state word on STAT, its numeric code on Prometheus.
+    State(&'a str, u64),
+    /// A distribution: one STAT row per `(suffix, part)`, the suffix
+    /// appended to the row name, and a summary on Prometheus.
+    Dist(&'a HistogramSnapshot, &'static [(&'static str, Part)]),
+    /// Nothing to show (persistence off, a slab class without slabs): no
+    /// STAT row, and 0 on Prometheus so the schema stays stable.
+    Off,
+    /// Constant 1 carrying these labels, on Prometheus only.
+    Info(Vec<(&'static str, String)>),
+}
+
+/// A descriptor's values as `(label value, value)` pairs in display order;
+/// an unlabelled descriptor yields one pair with an empty label.
+type Series<'a> = Vec<(String, Value<'a>)>;
+
+impl Value<'_> {
+    /// The value as a STAT row prints it, if it has a row of its own.
+    fn stat_text(&self) -> Option<String> {
+        match self {
+            Value::Int(v) => Some(v.to_string()),
+            Value::Ratio(v) => Some(format!("{v:.4}")),
+            Value::Text(text) => Some(text.clone()),
+            Value::State(word, _) => Some((*word).to_owned()),
+            Value::Dist(..) | Value::Off | Value::Info(_) => None,
+        }
+    }
+
+    /// Emits the value as samples of `family`.
+    fn sample(&self, exp: &mut Exposition, family: &str, labels: &[(&str, &str)]) {
+        match self {
+            Value::Int(v) | Value::State(_, v) => exp.int_value(family, labels, *v),
+            Value::Off => exp.int_value(family, labels, 0),
+            Value::Ratio(v) => exp.value(family, labels, *v),
+            Value::Dist(snap, _) => exp.summary(family, labels, snap),
+            Value::Info(info) => {
+                let info: Vec<(&str, &str)> = info.iter().map(|(k, v)| (*k, v.as_str())).collect();
+                exp.int_value(family, &info, 1);
+            }
+            Value::Text(_) => {}
+        }
+    }
+}
+
+/// One statistic of a distribution, shown as its own STAT row.
+#[derive(Debug, Clone, Copy)]
+enum Part {
+    Count,
+    Quantile(f64),
+    Max,
+}
+
+/// How a descriptor reads its values, and so its label dimension.
+#[derive(Debug, Clone, Copy)]
+enum Read {
+    /// One unlabelled integer.
+    Int(fn(&TelemetryReport) -> u64),
+    /// One unlabelled value.
+    One(fn(&TelemetryReport) -> Value<'_>),
+    /// One value per value of the named label.
+    Each(&'static str, fn(&TelemetryReport) -> Series<'_>),
+    /// Named counters, labelled with the named label.
+    Named(&'static str, fn(&TelemetryReport) -> &[(&'static str, u64)]),
+    /// One value per shard, labelled `shard`.
+    Shard(fn(&ShardSnapshot) -> Value<'_>),
+    /// One value per reactor worker, labelled `worker`.
+    Worker(fn(&WorkerStatsSnapshot) -> u64),
+    /// One value per shadow-cache scale (`0.5x`, `1x`, `2x`), labelled
+    /// `scale`.
+    Scale(fn(&ShadowEstimate) -> Value<'_>),
+    /// One value per slab class from its `(slabs, items)`, labelled
+    /// `chunk_size`. A class without slabs reads [`Value::Off`], so it
+    /// gets no STAT row.
+    Class(fn(u64, u64) -> u64),
+    /// A durability counter; [`Value::Off`] without `--data-dir`.
+    Persist(fn(&PersistSnapshot) -> u64),
+    /// Every shard's policy gauges. On STAT the `{}` of the row name takes
+    /// `<shard>:<gauge>[:<gauge label>]`; on Prometheus the `{}` of the
+    /// family takes the gauge name, and samples are labelled `shard` plus
+    /// the gauge's own label.
+    PolicyGauges,
+}
+
+impl Read {
+    /// The Prometheus label key of the series (empty when unlabelled).
+    fn label(self) -> &'static str {
+        match self {
+            Read::Each(key, _) | Read::Named(key, _) => key,
+            Read::Shard(_) | Read::PolicyGauges => "shard",
+            Read::Worker(_) => "worker",
+            Read::Scale(_) => "scale",
+            Read::Class(_) => "chunk_size",
+            Read::Int(_) | Read::One(_) | Read::Persist(_) => "",
+        }
+    }
+
+    fn series(self, r: &TelemetryReport) -> Series<'_> {
+        let one = |value| vec![(String::new(), value)];
+        match self {
+            Read::Int(read) => one(Value::Int(read(r))),
+            Read::One(read) => one(read(r)),
+            Read::Persist(read) => one(r
+                .persist
+                .as_ref()
+                .map_or(Value::Off, |p| Value::Int(read(p)))),
+            Read::Each(_, read) => read(r),
+            Read::Named(_, read) => read(r)
+                .iter()
+                .map(|&(name, v)| (name.to_owned(), Value::Int(v)))
+                .collect(),
+            Read::Shard(read) => r
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i.to_string(), read(s)))
+                .collect(),
+            Read::Worker(read) => r
+                .reactor_workers
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (i.to_string(), Value::Int(read(w))))
+                .collect(),
+            Read::Scale(read) => r
+                .shadow
+                .iter()
+                .map(|est| (est.scale_label(), read(est)))
+                .collect(),
+            Read::Class(read) => r
+                .slab_census
+                .iter()
+                .map(|&(chunk, slabs, items)| {
+                    let value = match slabs {
+                        0 => Value::Off,
+                        _ => Value::Int(read(slabs as u64, items)),
+                    };
+                    (chunk.to_string(), value)
+                })
+                .collect(),
+            Read::PolicyGauges => r
+                .shards
+                .iter()
+                .enumerate()
+                .flat_map(|(i, shard)| {
+                    shard.policy_stats.gauges.iter().map(move |gauge| {
+                        let at = match &gauge.label {
+                            Some((_, label)) => format!("{i}:{}:{label}", gauge.name),
+                            None => format!("{i}:{}", gauge.name),
+                        };
+                        (at, Value::Int(gauge.value))
+                    })
+                })
+                .collect(),
+        }
+    }
+}
+
+/// A descriptor's names, help text and type; `.help(..)` and then
+/// `.read(..)` complete it into a [`Metric`].
+#[derive(Debug, Clone, Copy)]
+struct Names {
+    /// The STAT row name (the `key` of a `key=value` field inside a
+    /// [`Layout::Line`]); a `{}` takes the label value. Empty for a
+    /// Prometheus-only family.
+    stat: &'static str,
+    /// The Prometheus family; a `{}` takes the label value, making one
+    /// family per value instead of a label. Empty for a STAT-only row.
+    family: &'static str,
+    /// The `# HELP` text, also the metric reference's description.
+    help: &'static str,
+    kind: MetricKind,
+}
+
+impl Names {
+    const fn help(self, help: &'static str) -> Names {
+        Names { help, ..self }
+    }
+
+    const fn read(self, read: Read) -> Metric {
+        Metric { names: self, read }
+    }
+}
+
+/// One metric descriptor: every name the metric is known by, and how to
+/// read it from a [`TelemetryReport`].
+#[derive(Debug)]
+struct Metric {
+    names: Names,
+    read: Read,
+}
+
+impl Metric {
+    /// Appends the STAT rows of one `(label, value)` pair.
+    fn stat_rows(&self, label: &str, value: &Value<'_>, lines: &mut Vec<String>) {
+        if self.names.stat.is_empty() {
+            return;
+        }
+        let name = self.names.stat.replace("{}", label);
+        if let Value::Dist(snap, parts) = value {
+            for (suffix, part) in *parts {
+                let reading = match part {
+                    Part::Count => snap.count,
+                    Part::Quantile(q) => snap.quantile(*q),
+                    Part::Max => snap.max,
+                };
+                lines.push(format!("STAT {name}{suffix} {reading}"));
+            }
+        } else if let Some(text) = value.stat_text() {
+            lines.push(format!("STAT {name} {text}"));
+        }
+    }
+}
+
+const fn names(stat: &'static str, family: &'static str, kind: MetricKind) -> Names {
+    Names {
+        stat,
+        family,
+        help: "",
+        kind,
+    }
+}
+
+const fn counter(stat: &'static str, family: &'static str) -> Names {
+    names(stat, family, MetricKind::Counter)
+}
+
+const fn gauge(stat: &'static str, family: &'static str) -> Names {
+    names(stat, family, MetricKind::Gauge)
+}
+
+const fn summary(stat: &'static str, family: &'static str) -> Names {
+    names(stat, family, MetricKind::Summary)
+}
+
+/// A STAT row with no Prometheus family of its own.
+const fn stat_only(stat: &'static str) -> Names {
+    names(stat, "", MetricKind::Gauge)
+}
+
+/// How a section's descriptors lay out as STAT rows.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Descriptor by descriptor: every row of one, then the next's.
+    Rows,
+    /// Label by label: each descriptor's row for one label value, then the
+    /// next label value's.
+    ByLabel,
+    /// Label by label on one row, `STAT <row> key=value key=value ...`,
+    /// the `{}` of the row name taking the label value.
+    Line(&'static str),
+}
+
+/// A run of descriptors shown by one `stats` listing in one layout.
+#[derive(Debug)]
+struct Section {
+    /// The listing that shows these rows (`stats detail` shows them all).
+    scope: StatsScope,
+    layout: Layout,
+    metrics: &'static [Metric],
+}
+
+const LATENCY_PARTS: &[(&str, Part)] = &[
+    (":count", Part::Count),
+    (":p50_us", Part::Quantile(0.5)),
+    (":p90_us", Part::Quantile(0.9)),
+    (":p99_us", Part::Quantile(0.99)),
+    (":p999_us", Part::Quantile(0.999)),
+    (":max_us", Part::Max),
+];
+const FLUSH_PARTS: &[(&str, Part)] = &[
+    (":count", Part::Count),
+    (":p50", Part::Quantile(0.5)),
+    (":max", Part::Max),
+];
+const P50_PART: &[(&str, Part)] = &[("_p50", Part::Quantile(0.5))];
+
+/// The metric table: every STAT row and Prometheus family the server
+/// exposes, each named once. [`TelemetryReport::stat_lines`] and
+/// [`TelemetryReport::render_prometheus`] walk it in order.
+static METRICS: &[Section] = &[
+    Section {
+        scope: StatsScope::Summary,
+        layout: Layout::Rows,
+        metrics: &[
+            gauge("", "camp_build_info")
+                .help("server version and configuration (constant 1)")
+                .read(Read::One(|r| {
+                    Value::Info(vec![
+                        ("version", r.version.to_owned()),
+                        ("policy", r.policy.clone()),
+                        ("shards", r.shards.len().to_string()),
+                    ])
+                })),
+            stat_only("policy")
+                .help("the first shard's eviction policy")
+                .read(Read::One(|r| Value::Text(r.policy.clone()))),
+            stat_only("shards")
+                .help("shard count (the build-info family's `shards` label)")
+                .read(Read::Int(|r| r.shards.len() as u64)),
+            stat_only("shard:{}:policy")
+                .help("each shard's eviction policy")
+                .read(Read::Shard(|s| Value::Text(s.policy.clone()))),
+            gauge("curr_items", "camp_items")
+                .help("live items")
+                .read(Read::Int(|r| r.curr_items as u64)),
+            gauge("bytes", "camp_used_bytes")
+                .help("logical bytes resident")
+                .read(Read::Int(TelemetryReport::used_bytes)),
+            counter("get_hits", "camp_get_hits_total")
+                .help("get/iqget hits")
+                .read(Read::Int(|r| r.totals.get_hits)),
+            counter("get_misses", "camp_get_misses_total")
+                .help("get/iqget misses")
+                .read(Read::Int(|r| r.totals.get_misses)),
+            counter("cmd_set", "camp_cmd_set_total")
+                .help("successful stores")
+                .read(Read::Int(|r| r.totals.sets)),
+            stat_only("evictions")
+                .help("items evicted by the policy (the eviction counter's capacity cause)")
+                .read(Read::Int(|r| r.totals.evictions)),
+            stat_only("slab_evictions")
+                .help("items evicted by slab reassignment (its slab_reassign cause)")
+                .read(Read::Int(|r| r.totals.slab_evictions)),
+            counter("slab_reassignments", "camp_slab_reassignments_total")
+                .help("random slab evictions forced by calcification")
+                .read(Read::Int(|r| r.totals.slab_reassignments)),
+            counter("slab_reclaims", "camp_slab_reclaims_total")
+                .help("slabs reclaimed after emptying naturally")
+                .read(Read::Int(|r| r.totals.slab_reclaims)),
+            stat_only("expired")
+                .help("items dropped at expiry (its expired cause)")
+                .read(Read::Int(|r| r.totals.expired)),
+        ],
+    },
+    Section {
+        scope: StatsScope::Summary,
+        layout: Layout::Line("shard:{}"),
+        metrics: &[
+            gauge("items", "camp_shard_items")
+                .help("live items per shard")
+                .read(Read::Shard(|s| Value::Int(s.items as u64))),
+            gauge("bytes", "camp_shard_used_bytes")
+                .help("logical bytes resident per shard")
+                .read(Read::Shard(|s| Value::Int(s.used_bytes))),
+            counter("hits", "camp_shard_hits_total")
+                .help("get/iqget hits per shard")
+                .read(Read::Shard(|s| Value::Int(s.stats.get_hits))),
+            counter("misses", "camp_shard_misses_total")
+                .help("get/iqget misses per shard")
+                .read(Read::Shard(|s| Value::Int(s.stats.get_misses))),
+            counter("evictions", "camp_shard_evictions_total")
+                .help("evictions per shard (all causes)")
+                .read(Read::Shard(|s| {
+                    Value::Int(s.stats.evictions + s.stats.slab_evictions)
+                })),
+        ],
+    },
+    Section {
+        scope: StatsScope::Summary,
+        layout: Layout::Line("slab_class:{}"),
+        metrics: &[
+            gauge("slabs", "camp_slab_class_slabs")
+                .help("slabs assigned per chunk-size class")
+                .read(Read::Class(|slabs, _| slabs)),
+            gauge("items", "camp_slab_class_items")
+                .help("items resident per chunk-size class")
+                .read(Read::Class(|_, items| items)),
+        ],
+    },
+    Section {
+        scope: StatsScope::Detail,
+        layout: Layout::Rows,
+        metrics: &[
+            counter("deletes", "camp_deletes_total")
+                .help("successful deletes")
+                .read(Read::Int(|r| r.totals.deletes)),
+            counter("evictions:{}", "camp_evictions_total")
+                .help("items dropped, by cause")
+                .read(Read::Each("cause", |r| {
+                    let t = &r.totals;
+                    [
+                        ("capacity", t.evictions),
+                        ("slab_reassign", t.slab_evictions),
+                        ("expired", t.expired),
+                    ]
+                    .map(|(cause, n)| (cause.to_owned(), Value::Int(n)))
+                    .into()
+                })),
+            summary("latency:{}", "camp_{}_latency_us")
+                .help("command handling latency in microseconds")
+                .read(Read::Each("cmd", |r| {
+                    r.latencies
+                        .iter()
+                        .map(|(cmd, snap)| ((*cmd).to_owned(), Value::Dist(snap, LATENCY_PARTS)))
+                        .collect()
+                })),
+            counter("bytes_read:{}", "camp_bytes_read_total")
+                .help("wire bytes consumed per command class")
+                .read(Read::Named("cmd", |r| &r.bytes_read)),
+            gauge("policy:{}", "camp_policy_{}")
+                .help("policy-internal gauge")
+                .read(Read::PolicyGauges),
+            counter("connections_opened", "camp_connections_opened_total")
+                .help("connections accepted")
+                .read(Read::Int(|r| r.connections_opened)),
+            counter("connections_closed", "camp_connections_closed_total")
+                .help("connections ended")
+                .read(Read::Int(|r| r.connections_closed)),
+            counter("protocol_errors", "camp_protocol_errors_total")
+                .help("lines rejected with CLIENT_ERROR")
+                .read(Read::Int(|r| r.protocol_errors)),
+            counter("conn_rejected:{}", "camp_conn_rejected_total")
+                .help("connections refused or severed, by cause")
+                .read(Read::Named("cause", |r| &r.conn_rejected)),
+            counter("faults_injected:{}", "camp_faults_injected_total")
+                .help("chaos faults injected, by kind")
+                .read(Read::Named("kind", |r| &r.faults_injected)),
+            counter("lock_poison_recovered", "camp_lock_poison_recovered_total")
+                .help("poisoned mutexes recovered after a panicking holder")
+                .read(Read::Int(|r| r.lock_poison_recovered)),
+            gauge("iq_miss_registry_size", "camp_iq_miss_registry_size")
+                .help("unmatched iqget misses currently registered")
+                .read(Read::Int(|r| r.iq_miss_registry_size)),
+            counter("iq_sweep_reclaimed", "camp_iq_sweep_reclaimed_total")
+                .help("iq miss-registry entries dropped by the TTL sweep")
+                .read(Read::Int(|r| r.iq_sweep_reclaimed)),
+        ],
+    },
+    Section {
+        scope: StatsScope::Detail,
+        layout: Layout::Line("reactor:worker{}"),
+        metrics: &[
+            gauge("live", "camp_reactor_live_connections")
+                .help("connections currently owned per reactor worker")
+                .read(Read::Worker(|w| w.live_connections)),
+            counter("wakeups", "camp_reactor_epoll_wakeups_total")
+                .help("epoll_wait returns that delivered events, per worker")
+                .read(Read::Worker(|w| w.epoll_wakeups)),
+            counter("timer_fires", "camp_reactor_timer_fires_total")
+                .help("timer-wheel timers fired, per worker")
+                .read(Read::Worker(|w| w.timer_fires)),
+            counter("write_pauses", "camp_reactor_write_pauses_total")
+                .help("reads paused by output backpressure, per worker")
+                .read(Read::Worker(|w| w.write_pauses)),
+            counter("accepts", "camp_reactor_accepts_total")
+                .help("sockets accepted by each worker's own SO_REUSEPORT listener")
+                .read(Read::Worker(|w| w.accepts)),
+            counter("events", "camp_reactor_events_dispatched_total")
+                .help("connection events drained into the batched run queue, per worker")
+                .read(Read::Worker(|w| w.events_dispatched)),
+        ],
+    },
+    Section {
+        scope: StatsScope::Detail,
+        layout: Layout::Rows,
+        metrics: &[
+            summary(
+                "reactor:flush_segments",
+                "camp_reactor_flush_writev_segments",
+            )
+            .help("segments batched per scatter-gather (writev) flush call")
+            .read(Read::One(|r| Value::Dist(&r.flush_segments, FLUSH_PARTS))),
+            counter("trace:spans_recorded", "camp_trace_spans_total")
+                .help("request spans recorded by the flight recorder")
+                .read(Read::Int(|r| r.spans_recorded)),
+            counter("trace:slow_recorded", "camp_trace_slow_total")
+                .help("spans promoted to the slow-request log")
+                .read(Read::Int(|r| r.slow_recorded)),
+            stat_only("trace:slow_threshold_us")
+                .help("the --slow-log threshold in microseconds, or `disabled`")
+                .read(Read::One(|r| {
+                    Value::Text(
+                        r.slow_threshold_us
+                            .map_or_else(|| "disabled".to_owned(), |us| us.to_string()),
+                    )
+                })),
+            counter("trace:admits", "camp_trace_admits_total")
+                .help("policy admissions traced")
+                .read(Read::Int(|r| r.trace_admits)),
+            counter("trace:evictions", "camp_trace_evictions_total")
+                .help("policy evictions traced")
+                .read(Read::Int(|r| r.trace_evicts)),
+            summary("trace:eviction_cost", "camp_eviction_cost")
+                .help("miss cost of traced eviction victims")
+                .read(Read::One(|r| Value::Dist(&r.eviction_costs, P50_PART))),
+            summary("trace:l_value", "camp_l_value")
+                .help("CAMP L term sampled at eviction decisions")
+                .read(Read::One(|r| Value::Dist(&r.l_values, P50_PART))),
+            gauge("persist:state", "camp_persist_state")
+                .help("durability engine state (0=disabled, 1=active, 2=degraded)")
+                .read(Read::One(|r| match &r.persist {
+                    None => Value::State("disabled", 0),
+                    Some(p) => Value::State(p.state, if p.state == "degraded" { 2 } else { 1 }),
+                })),
+            counter("persist:errors", "camp_persist_errors_total")
+                .help("append-log I/O errors (append, fsync, repair)")
+                .read(Read::Persist(|p| p.errors)),
+            counter("persist:bytes", "camp_persist_bytes_total")
+                .help("bytes appended to the durability log")
+                .read(Read::Persist(|p| p.bytes)),
+            counter("persist:fsyncs", "camp_persist_fsyncs_total")
+                .help("successful fsyncs of the active segment")
+                .read(Read::Persist(|p| p.fsyncs)),
+            counter("persist:records", "camp_persist_records_total")
+                .help("records appended to the durability log")
+                .read(Read::Persist(|p| p.records)),
+            counter("persist:dropped", "camp_persist_dropped_total")
+                .help("mutations not persisted while degraded")
+                .read(Read::Persist(|p| p.dropped)),
+            counter("persist:recovered", "camp_persist_recovered_total")
+                .help("records replayed by boot-time recovery")
+                .read(Read::Persist(|p| p.recovered)),
+            counter("persist:quarantined", "camp_persist_quarantined_total")
+                .help("corrupt records skipped by boot-time recovery")
+                .read(Read::Persist(|p| p.quarantined)),
+            counter("persist:torn_bytes", "camp_persist_torn_bytes_total")
+                .help("torn-tail bytes found by boot-time recovery")
+                .read(Read::Persist(|p| p.torn_bytes)),
+            counter("persist:snapshots", "camp_persist_snapshots_total")
+                .help("compaction snapshots taken, re-arms included")
+                .read(Read::Persist(|p| p.snapshots)),
+            counter("persist:trips", "camp_persist_trips_total")
+                .help("active-to-degraded transitions of the durability engine")
+                .read(Read::Persist(|p| p.trips)),
+            counter("persist:rearms", "camp_persist_rearms_total")
+                .help("degraded-to-active recoveries of the durability engine")
+                .read(Read::Persist(|p| p.rearms)),
+            gauge("persist:segments", "camp_persist_segments")
+                .help("segment files currently in the durability log")
+                .read(Read::Persist(|p| p.segments)),
+        ],
+    },
+    Section {
+        scope: StatsScope::Profile,
+        layout: Layout::Rows,
+        metrics: &[
+            gauge("profile:sample_modulus", "camp_shadow_sample_modulus")
+                .help("the shadow profiler's spatial sampling modulus (1-in-N keys)")
+                .read(Read::Int(|r| r.shadow_sample_modulus)),
+        ],
+    },
+    Section {
+        scope: StatsScope::Profile,
+        layout: Layout::ByLabel,
+        metrics: &[
+            gauge("profile:{}:capacity", "camp_shadow_capacity_bytes")
+                .help("byte capacity of each shadow cache")
+                .read(Read::Scale(|est| Value::Int(est.capacity))),
+            counter("profile:{}:sampled_gets", "camp_shadow_sampled_gets_total")
+                .help("lookups that fell in the shadow profiler's key sample")
+                .read(Read::Scale(|est| Value::Int(est.sampled_gets))),
+            counter("profile:{}:sampled_hits", "camp_shadow_sampled_hits_total")
+                .help("sampled lookups that hit the shadow cache")
+                .read(Read::Scale(|est| Value::Int(est.sampled_hits))),
+            gauge("profile:{}:hit_ratio", "camp_shadow_hit_ratio")
+                .help("estimated hit ratio at fractional capacities (sampled shadow caches)")
+                .read(Read::Scale(|est| Value::Ratio(est.hit_ratio))),
+            counter(
+                "profile:{}:est_miss_cost",
+                "camp_shadow_est_miss_cost_total",
+            )
+            .help("estimated cumulative miss cost at fractional capacities")
+            .read(Read::Scale(|est| Value::Int(est.est_miss_cost))),
+        ],
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -1454,9 +1443,9 @@ mod tests {
     #[test]
     fn stat_surfaces_match_the_golden_fixture() {
         for (report, [summary, detail, profile, _]) in golden() {
-            assert_eq!(text(&report.summary_lines()), summary);
-            assert_eq!(text(&report.detail_lines()), detail);
-            assert_eq!(text(&report.profile_lines()), profile);
+            assert_eq!(text(&report.stat_lines(StatsScope::Summary)), summary);
+            assert_eq!(text(&report.stat_lines(StatsScope::Detail)), detail);
+            assert_eq!(text(&report.stat_lines(StatsScope::Profile)), profile);
         }
     }
 
@@ -1479,9 +1468,197 @@ mod tests {
         }
     }
 
+    /// Rows with no Prometheus family of their own: the text rows, and the
+    /// numeric rows that repeat a labelled sample (pinned by
+    /// `stat_only_numbers_repeat_a_prometheus_sample`).
+    const STAT_ONLY: [&str; 7] = [
+        "policy",
+        "shard:{}:policy",
+        "trace:slow_threshold_us",
+        "shards",
+        "evictions",
+        "slab_evictions",
+        "expired",
+    ];
+
+    fn all_metrics() -> impl Iterator<Item = (&'static Section, &'static Metric)> {
+        METRICS
+            .iter()
+            .flat_map(|section| section.metrics.iter().map(move |metric| (section, metric)))
+    }
+
+    #[test]
+    fn every_numeric_row_has_a_prometheus_family() {
+        let report = sample_report();
+        let detail = report.stat_lines(StatsScope::Detail);
+        let scrape = report.render_prometheus();
+        // `families` also fails on any family declared twice.
+        let declared: Vec<String> = families(&scrape).into_iter().map(|(f, _)| f).collect();
+        for (section, metric) in all_metrics() {
+            let Names {
+                stat, family, help, ..
+            } = metric.names;
+            assert!(!help.is_empty(), "{stat} {family} has no help text");
+            let series = metric.read.series(&report);
+            let Some((label, value)) = series.first() else {
+                panic!("the sample report leaves {stat} {family} empty");
+            };
+            let row = stat.replace("{}", label);
+            let on_stat = detail.iter().any(|line| match (section.layout, value) {
+                (Layout::Line(line_row), _) => {
+                    let head = format!("STAT {} ", line_row.replace("{}", label));
+                    line.starts_with(&head) && line.contains(&format!(" {stat}="))
+                }
+                (_, Value::Dist(_, parts)) => {
+                    line.starts_with(&format!("STAT {row}{} ", parts[0].0))
+                }
+                _ => line.starts_with(&format!("STAT {row} ")),
+            });
+            let family = match metric.read {
+                Read::PolicyGauges => {
+                    family.replace("{}", label.split(':').nth(1).unwrap_or_default())
+                }
+                _ => family.replace("{}", label),
+            };
+            if family.is_empty() {
+                assert!(
+                    STAT_ONLY.contains(&stat),
+                    "STAT {stat} has no Prometheus family"
+                );
+                assert!(on_stat, "STAT {row} missing from stats detail");
+            } else if stat.is_empty() {
+                assert_eq!(
+                    family, "camp_build_info",
+                    "only build info is Prometheus-only"
+                );
+            } else {
+                assert!(on_stat, "STAT {row} missing from stats detail");
+                assert!(
+                    declared.contains(&family),
+                    "{family} missing from the scrape"
+                );
+            }
+        }
+        let mut names: Vec<&str> = all_metrics()
+            .map(|(_, m)| m.names.family)
+            .filter(|f| !f.is_empty())
+            .collect();
+        let count = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(
+            names.len(),
+            count,
+            "a family is declared twice in the table"
+        );
+    }
+
+    #[test]
+    fn stat_only_numbers_repeat_a_prometheus_sample() {
+        let report = sample_report();
+        let detail = report.stat_lines(StatsScope::Detail);
+        let scrape = report.render_prometheus();
+        let stat = |row: &str| {
+            let prefix = format!("STAT {row} ");
+            detail
+                .iter()
+                .find_map(|line| line.strip_prefix(&prefix).map(str::to_owned))
+                .unwrap_or_else(|| panic!("no STAT {row}"))
+        };
+        for (row, cause) in [
+            ("evictions", "capacity"),
+            ("slab_evictions", "slab_reassign"),
+            ("expired", "expired"),
+        ] {
+            let sample = format!("camp_evictions_total{{cause=\"{cause}\"}} {}", stat(row));
+            assert!(scrape.lines().any(|line| line == sample), "{sample}");
+        }
+        let shards = format!("shards=\"{}\"", stat("shards"));
+        assert!(
+            scrape
+                .lines()
+                .any(|line| line.starts_with("camp_build_info{") && line.contains(&shards)),
+            "{shards}"
+        );
+    }
+
+    /// The metric reference in DESIGN.md §7, rendered from the table.
+    fn reference() -> String {
+        let report = sample_report();
+        let mut out = String::from(
+            "| STAT row | Prometheus family | type | listing | description |\n\
+             |---|---|---|---|---|\n",
+        );
+        for (section, metric) in all_metrics() {
+            let Names {
+                stat,
+                family,
+                help,
+                kind,
+            } = metric.names;
+            let label = metric.read.label();
+            let (stat, family) = match metric.read {
+                Read::PolicyGauges => (
+                    stat.replace("{}", "<shard>:<gauge>[:<label>]"),
+                    format!("{}{{shard,<label>}}", family.replace("{}", "<gauge>")),
+                ),
+                _ => {
+                    let placeholder = format!("<{label}>");
+                    let family = if family.is_empty() || family.contains("{}") || label.is_empty() {
+                        family.replace("{}", &placeholder)
+                    } else {
+                        format!("{family}{{{label}}}")
+                    };
+                    (stat.replace("{}", &placeholder), family)
+                }
+            };
+            let stat = match (section.layout, metric.read.series(&report).first()) {
+                _ if stat.is_empty() => "—".to_owned(),
+                (Layout::Line(row), _) => {
+                    format!("`{} {stat}=`", row.replace("{}", &format!("<{label}>")))
+                }
+                (_, Some((_, Value::Dist(_, parts)))) => {
+                    let suffixes: Vec<String> =
+                        parts.iter().map(|(s, _)| format!("`{s}`")).collect();
+                    format!("`{stat}` + {}", suffixes.join(" "))
+                }
+                _ => format!("`{stat}`"),
+            };
+            let (family, kind) = if family.is_empty() {
+                ("—".to_owned(), "—")
+            } else {
+                let kind = match kind {
+                    MetricKind::Counter => "counter",
+                    MetricKind::Gauge => "gauge",
+                    MetricKind::Summary => "summary",
+                };
+                (format!("`{family}`"), kind)
+            };
+            let listing = match section.scope {
+                StatsScope::Summary => "`stats`",
+                StatsScope::Profile => "`stats profile`",
+                StatsScope::Detail | StatsScope::Reset => "`stats detail`",
+            };
+            out.push_str(&format!(
+                "| {stat} | {family} | {kind} | {listing} | {help} |\n"
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn design_doc_carries_the_generated_metric_reference() {
+        let reference = reference();
+        let design = include_str!("../../../DESIGN.md");
+        assert!(
+            design.contains(&reference),
+            "DESIGN.md §7 must carry this metric reference verbatim:\n{reference}"
+        );
+    }
+
     #[test]
     fn detail_lines_cover_every_surface() {
-        let text = sample_report().detail_lines().join("\n");
+        let text = sample_report().stat_lines(StatsScope::Detail).join("\n");
         for needle in [
             "STAT latency:get:p50_us",
             "STAT latency:get:p99_us",
@@ -1526,7 +1703,7 @@ mod tests {
 
     #[test]
     fn profile_lines_stand_alone() {
-        let text = sample_report().profile_lines().join("\n");
+        let text = sample_report().stat_lines(StatsScope::Profile).join("\n");
         assert!(text.contains("STAT profile:0.5x:capacity 512"), "{text}");
         assert!(text.contains("STAT profile:0.5x:sampled_gets 40"), "{text}");
         assert!(text.contains("STAT profile:0.5x:sampled_hits 30"), "{text}");

@@ -680,14 +680,8 @@ pub(crate) fn execute(
             writeln_crlf(out, concat!("VERSION camp-kvs/", env!("CARGO_PKG_VERSION")));
         }
         Command::Stats { scope } => match scope {
-            StatsScope::Summary => {
-                for stat_line in telemetry_report(shared).summary_lines() {
-                    writeln_crlf(out, &stat_line);
-                }
-                writeln_crlf(out, "END");
-            }
-            StatsScope::Detail => {
-                for stat_line in telemetry_report(shared).detail_lines() {
+            StatsScope::Summary | StatsScope::Detail | StatsScope::Profile => {
+                for stat_line in telemetry_report(shared).stat_lines(scope) {
                     writeln_crlf(out, &stat_line);
                 }
                 writeln_crlf(out, "END");
@@ -701,12 +695,6 @@ pub(crate) fn execute(
                 shared.iq_misses.swept.store(0, Ordering::Relaxed);
                 kvlog!(LogLevel::Info, "stats_reset");
                 writeln_crlf(out, "RESET");
-            }
-            StatsScope::Profile => {
-                for stat_line in telemetry_report(shared).profile_lines() {
-                    writeln_crlf(out, &stat_line);
-                }
-                writeln_crlf(out, "END");
             }
         },
         Command::Trace => {
@@ -784,8 +772,8 @@ fn trace_lines(shared: &Shared) -> Vec<String> {
     lines
 }
 
-/// Assembles the full telemetry snapshot behind `stats`, `stats detail`
-/// and the Prometheus exposition.
+/// Assembles the full telemetry snapshot behind `stats`, `stats detail`,
+/// `stats profile` and the Prometheus exposition.
 fn telemetry_report(shared: &Shared) -> TelemetryReport {
     let shards = shared.store.per_shard();
     TelemetryReport {

@@ -1,9 +1,10 @@
 //! Prometheus-style text exposition (version 0.0.4 format).
 //!
-//! A tiny builder for `# HELP`/`# TYPE` families and their samples, shared
-//! by the server's `--metrics-addr` endpoint, the `stats detail` protocol
-//! command's backing snapshot, and the simulator's report rendering — one
-//! vocabulary for every surface. Histograms are exposed in *summary* form
+//! A tiny builder for `# HELP`/`# TYPE` families and their samples, used
+//! by the server's `--metrics-addr` endpoint and by the simulator's report
+//! rendering. The server's `stats` protocol listings do not go through it:
+//! `camp-kvs` renders those `STAT` lines from the same metric table that
+//! feeds its exposition. Histograms are exposed in *summary* form
 //! (quantile-labelled gauges plus `_sum`/`_count`), which keeps scrape
 //! output small and matches how the paper reports latencies.
 
